@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/ehdiall"
+	"repro/internal/fitness"
 )
 
 func backendTestDataset(t *testing.T) *repro.Dataset {
@@ -67,21 +69,15 @@ func assertSameResult(t *testing.T, name string, want, got *repro.GAResult) {
 
 // TestBackendParity: a fixed seed must produce the identical result
 // under the native engine, the goroutine pool and the PVM simulation —
-// the backends differ only in speed, never in trajectory — and under
-// each backend the new Session.Run and the deprecated Run shim must be
-// bit-identical too.
+// the backends differ only in speed, never in trajectory. A session
+// over the byte reference pipeline (the kernel oracle) must match too,
+// so the packed kernel every backend runs leaves the GA trajectory
+// unchanged.
 func TestBackendParity(t *testing.T) {
 	d := backendTestDataset(t)
 	cfg := backendTestConfig()
-	shimWith := func(b repro.Backend) *repro.GAResult {
-		res, err := repro.Run(d, cfg, repro.RunOptions{Slaves: 3, Backend: b}) //nolint:staticcheck // deprecated shim under test
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	sessionWith := func(b repro.Backend) *repro.GAResult {
-		s, err := repro.NewSession(d, repro.WithBackend(b), repro.WithWorkers(3))
+	run := func(opts ...repro.Option) *repro.GAResult {
+		s, err := repro.NewSession(d, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +89,7 @@ func TestBackendParity(t *testing.T) {
 		return res
 	}
 
-	native := sessionWith(repro.BackendNative)
+	native := run(repro.WithBackend(repro.BackendNative), repro.WithWorkers(3))
 	for _, bc := range []struct {
 		name    string
 		backend repro.Backend
@@ -102,9 +98,14 @@ func TestBackendParity(t *testing.T) {
 		{"pool", repro.BackendPool},
 		{"pvm", repro.BackendPVM},
 	} {
-		assertSameResult(t, bc.name+"-session", native, sessionWith(bc.backend))
-		assertSameResult(t, bc.name+"-shim", native, shimWith(bc.backend))
+		assertSameResult(t, bc.name, native, run(repro.WithBackend(bc.backend), repro.WithWorkers(3)))
 	}
+
+	oracle, err := fitness.NewPipelineKernel(d, repro.T1, ehdiall.Config{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "byte-oracle", native, run(repro.WithEvaluator(oracle)))
 }
 
 // TestEngineCacheHitRateDuringRun: the GA re-visits haplotypes across
@@ -117,7 +118,12 @@ func TestEngineCacheHitRateDuringRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	res, err := repro.RunWith(eng, d.NumSNPs(), backendTestConfig())
+	s, err := repro.NewSession(d, repro.WithEvaluator(eng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res, err := s.Run(context.Background(), repro.WithGAConfig(backendTestConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,17 +177,17 @@ func BenchmarkBackendGA(b *testing.B) {
 		{"pvm", BackendPVM},
 	} {
 		b.Run("backend="+bk.name, func(b *testing.B) {
-			pool, err := NewBackend(d, T1, bk.backend, 0)
+			s, err := NewSession(d, WithBackend(bk.backend))
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer pool.Close()
+			defer s.Close()
 			var evals int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := RunWith(pool, d.NumSNPs(), GAConfig{
+				res, err := s.Run(context.Background(), WithGAConfig(GAConfig{
 					Seed: uint64(i) + 1, MaxGenerations: 2000,
-				})
+				}))
 				if err != nil {
 					b.Fatal(err)
 				}

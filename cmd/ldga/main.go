@@ -57,7 +57,6 @@ func main() {
 		mcReps     = flag.Int("mc", 0, "Monte-Carlo replicates for final p-values (0 = skip)")
 		maxDPrime  = flag.Float64("td", 0, "pairwise |D'| feasibility threshold t_d (0 = off)")
 		minMAF     = flag.Float64("tf", 0, "minor allele frequency threshold t_f (0 = off)")
-		packed     = flag.Bool("packed", true, "use the packed 2-bit counting kernel; false runs the byte reference kernel (bit-identical results, for A/B runs)")
 		trace      = flag.Bool("trace", false, "print per-generation progress")
 		report     = flag.Bool("report", false, "print the full EH-DIALL/CLUMP report for each winner")
 	)
@@ -109,7 +108,6 @@ func main() {
 		repro.WithStatistic(stat),
 		repro.WithBackend(be),
 		repro.WithWorkers(*slaves),
-		repro.WithPackedKernel(*packed),
 		repro.WithGAConfig(cfg))
 	if err != nil {
 		fatalf("session: %v", err)
@@ -194,7 +192,7 @@ func main() {
 	// only when something below will use it.
 	var pipe *fitness.Pipeline
 	if (*mcReps > 0 || *report) && !interrupted {
-		pipe, err = fitness.NewPipelineKernel(data, stat, ehdiall.Config{}, *packed)
+		pipe, err = fitness.NewPipeline(data, stat, ehdiall.Config{})
 		if err != nil {
 			fatalf("pipeline: %v", err)
 		}

@@ -61,7 +61,6 @@ func main() {
 		burst       = flag.Int("burst", 25, "rate-limit burst size (with -rate); sized so one client's session-setup burst (upload, session, job, stream, first polls) fits without draining the bucket")
 		metrics     = flag.Bool("metrics", true, "serve request/latency/evaluation counters on GET /metrics")
 		debugRT     = flag.Bool("debug-runtime", false, "serve goroutine/heap/GC counters on GET /debug/runtime (required by tools/loadcheck)")
-		packed      = flag.Bool("packed", true, "use the packed 2-bit counting kernel; false runs the byte reference kernel (bit-identical values, for A/B runs)")
 		quiet       = flag.Bool("quiet", false, "disable per-request logging")
 	)
 	var keys []serve.APIKey
@@ -81,7 +80,6 @@ func main() {
 		MaxJobsPerSession: *maxJobs,
 		SweepInterval:     *sweep,
 		SpillDir:          *spillDir,
-		ByteKernel:        !*packed,
 	})
 
 	var opts []serve.ServerOption

@@ -96,36 +96,6 @@ func ExampleSession_Start() {
 	// best pair: [SNP3 SNP8]
 }
 
-// ExampleRun demonstrates the deprecated one-call entry point, kept as
-// a bit-identical shim over a single-run Session.
-func ExampleRun() {
-	data, err := repro.GenerateDataset(repro.GeneratorConfig{
-		NumSNPs: 12, NumAffected: 30, NumUnaffected: 30,
-		RiskHaplotypeFreq: 0.3,
-		Disease: repro.DiseaseModel{
-			CausalSites: []int{2, 7}, RiskAlleles: []uint8{1, 1},
-			BaseRisk: 0.15, HaplotypeEffect: 0.6,
-		},
-		Seed: 4,
-	})
-	if err != nil {
-		panic(err)
-	}
-	result, err := repro.Run(data, repro.GAConfig{
-		MinSize: 2, MaxSize: 2, PopulationSize: 20,
-		PairsPerGeneration: 6, StagnationLimit: 10, Seed: 2,
-	}, repro.RunOptions{Slaves: 2})
-	if err != nil {
-		panic(err)
-	}
-	best := result.BestBySize[2]
-	fmt.Printf("best pair: %v\n", data.SNPNames(best.Sites))
-	fmt.Printf("converged: %v\n", result.Converged)
-	// Output:
-	// best pair: [SNP3 SNP8]
-	// converged: true
-}
-
 // ExampleNewEngine runs the GA on the native concurrent evaluation
 // engine and inspects the engine's counters afterwards: because the
 // GA re-visits the same SNP sets across generations, the memoizing
@@ -148,10 +118,15 @@ func ExampleNewEngine() {
 		panic(err)
 	}
 	defer engine.Close()
-	result, err := repro.RunWith(engine, data.NumSNPs(), repro.GAConfig{
+	session, err := repro.NewSession(data, repro.WithEvaluator(engine))
+	if err != nil {
+		panic(err)
+	}
+	defer session.Close()
+	result, err := session.Run(context.Background(), repro.WithGAConfig(repro.GAConfig{
 		MinSize: 2, MaxSize: 2, PopulationSize: 20,
 		PairsPerGeneration: 6, StagnationLimit: 10, Seed: 2,
-	})
+	}))
 	if err != nil {
 		panic(err)
 	}

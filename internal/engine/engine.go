@@ -33,12 +33,6 @@ type Options struct {
 	// genotype Fingerprint. New sets it automatically when the inner
 	// evaluator is a *fitness.Pipeline.
 	Fingerprint uint64
-	// ByteKernel makes NewForDataset build its pipeline on the
-	// byte-per-genotype reference kernel instead of the default packed
-	// 2-bit kernel. The two are bit-identical in value; the byte path
-	// exists for differential testing and A/B performance runs. New
-	// ignores it (the inner evaluator arrives already constructed).
-	ByteKernel bool
 	// KeyFingerprint, when non-nil, replaces the flat Fingerprint in
 	// cache keys with a per-evaluation digest of the given (canonical)
 	// site set — the hook a shard-aware evaluator uses to key the memo
@@ -155,7 +149,7 @@ func New(inner fitness.Evaluator, opts Options) (*Engine, error) {
 // wraps it in an engine — the one-call constructor the facade and the
 // CLIs use.
 func NewForDataset(d *genotype.Dataset, stat clump.Statistic, opts Options) (*Engine, error) {
-	pipe, err := fitness.NewPipelineKernel(d, stat, ehdiall.Config{}, !opts.ByteKernel)
+	pipe, err := fitness.NewPipeline(d, stat, ehdiall.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -45,10 +45,9 @@ func (f Func) Evaluate(sites []int) (float64, error) { return f(sites) }
 var ErrEmptyGroup = errors.New("fitness: a status group has no usable individuals at the selected sites")
 
 // Pipeline is the EH-DIALL -> CLUMP evaluation of Figure 3. It is
-// immutable after construction and safe for concurrent use. By default
-// evaluation runs on the packed 2-bit genotype kernel (bit-identical
-// to the byte reference path, which Details always uses and
-// NewPipelineKernel can select for the whole pipeline).
+// immutable after construction and safe for concurrent use. Evaluation
+// runs on the packed 2-bit genotype kernel; Details runs the byte
+// reference path, which is bit-identical.
 type Pipeline struct {
 	data       *genotype.Dataset
 	affected   []int
@@ -72,17 +71,16 @@ type Pipeline struct {
 // Unknown status are ignored, as in the paper's study. The statistic
 // selects which CLUMP value is the fitness (the paper uses the raw
 // chi-square T1 by default). Evaluation runs on the packed 2-bit
-// kernel; use NewPipelineKernel to select the byte reference kernel
-// for A/B comparisons.
+// kernel, the only production path.
 func NewPipeline(d *genotype.Dataset, stat clump.Statistic, em ehdiall.Config) (*Pipeline, error) {
 	return NewPipelineKernel(d, stat, em, true)
 }
 
 // NewPipelineKernel is NewPipeline with an explicit kernel choice:
-// packed selects the 2-bit popcount kernel (the default elsewhere),
-// false the byte-per-genotype reference implementation. The two
-// produce bit-identical fitness values; the byte path exists as the
-// differential-testing reference and for A/B performance runs.
+// packed selects the 2-bit popcount kernel, false the
+// byte-per-genotype reference implementation. The two produce
+// bit-identical fitness values; the byte kernel is the oracle of the
+// differential tests and the benchmark, never a production path.
 func NewPipelineKernel(d *genotype.Dataset, stat clump.Statistic, em ehdiall.Config, packed bool) (*Pipeline, error) {
 	if d == nil {
 		return nil, fmt.Errorf("fitness: nil dataset")
@@ -256,18 +254,6 @@ func (p *Pipeline) MonteCarloP(sites []int, replicates int, src *rng.RNG) (clump
 		return clump.PValues{}, err
 	}
 	return clump.MonteCarlo{Replicates: replicates, Source: src}.Run(table)
-}
-
-// Score runs the tail of the Figure 3 pipeline shared by every
-// evaluator front-end (the monolithic Pipeline and the shard-aware
-// evaluator): concatenate the two per-group EH-DIALL estimations into
-// the 2 x 2^k contingency table and return the selected CLUMP
-// statistic. Keeping this in one place is what makes the sharded path
-// bit-identical to the monolithic one — both feed the same estimations
-// through the same arithmetic.
-func Score(aff, un *ehdiall.Result, stat clump.Statistic) (float64, error) {
-	var s Scratch
-	return s.Score(aff, un, stat)
 }
 
 // ConcatTable performs the paper's "Concatenation" step: the expected

@@ -39,14 +39,6 @@ type Scratch struct {
 	// packed columns, one per site.
 	PackedCols []genotype.PackedColumn
 
-	// Cols, Flat and Pats are the byte-kernel gather buffers used by
-	// the shard evaluator's reference path: gathered byte columns, the
-	// flat backing array for complete-case patterns, and the pattern
-	// slice headers.
-	Cols [][]genotype.Genotype
-	Flat []genotype.Genotype
-	Pats [][]genotype.Genotype
-
 	expAff, expUn []float64
 	table         *stats.Table
 	cs            clump.Scratch
@@ -58,9 +50,8 @@ func NewScratch() *Scratch { return &Scratch{} }
 // Score runs the shared tail of the Figure 3 pipeline on scr's
 // buffers: concatenate the two per-group EH-DIALL estimations into the
 // 2 x 2^k contingency table and return the selected CLUMP statistic.
-// It is the scratch-backed body of the package-level Score — the same
-// arithmetic in the same order — so every front-end (byte or packed,
-// monolithic or sharded) produces bit-identical values.
+// Every packed front-end (the monolithic Pipeline and the shard-aware
+// evaluator) ends here, so both produce bit-identical values.
 func (s *Scratch) Score(aff, un *ehdiall.Result, stat clump.Statistic) (float64, error) {
 	if aff.K != un.K {
 		return 0, fmt.Errorf("fitness: group estimations disagree on k: %d vs %d", aff.K, un.K)

@@ -15,11 +15,8 @@ import (
 // columns a candidate SNP subset touches from its Source and runs the
 // same EH-DIALL → concatenation → CLUMP arithmetic as
 // fitness.Pipeline — so its values are bit-identical to the monolithic
-// path while its working set is the touched shards, not the table. By
-// default the packed 2-bit kernel gathers each shard's pre-packed
-// words; NewEvaluatorKernel can select the byte reference kernel,
-// which rebuilds complete-case genotype patterns exactly as
-// genotype.Dataset.ColumnPatterns does.
+// path while its working set is the touched shards, not the table. The
+// packed 2-bit kernel gathers each shard's pre-packed words.
 //
 // Evaluator implements fitness.ScratchEvaluator and
 // engine.KeyFingerprinter: wrapped in an engine, each worker drives it
@@ -30,15 +27,11 @@ import (
 // shards that produce them. Safe for concurrent use; Evaluate callers
 // without their own scratch draw one from a pool.
 type Evaluator struct {
-	src        Source
-	affected   []int
-	unaffected []int
-	stat       clump.Statistic
-	em         ehdiall.Config
+	src  Source
+	stat clump.Statistic
+	em   ehdiall.Config
 
-	// packed selects the 2-bit kernel; the masks are the status groups
-	// in packed row geometry.
-	packed          bool
+	// affMask and unMask are the status groups in packed row geometry.
 	affMask, unMask genotype.PlaneMask
 
 	scratch sync.Pool // *fitness.Scratch
@@ -50,14 +43,6 @@ type Evaluator struct {
 // fitness.NewPipeline derives it; Unknown-status individuals are
 // ignored.
 func NewEvaluator(src Source, d *genotype.Dataset, stat clump.Statistic, em ehdiall.Config) (*Evaluator, error) {
-	return NewEvaluatorKernel(src, d, stat, em, true)
-}
-
-// NewEvaluatorKernel is NewEvaluator with an explicit kernel choice:
-// packed selects the 2-bit popcount kernel (the default elsewhere),
-// false the byte-per-genotype reference implementation. Both produce
-// bit-identical values.
-func NewEvaluatorKernel(src Source, d *genotype.Dataset, stat clump.Statistic, em ehdiall.Config, packed bool) (*Evaluator, error) {
 	if src == nil {
 		return nil, fmt.Errorf("shard: nil source")
 	}
@@ -76,12 +61,13 @@ func NewEvaluatorKernel(src Source, d *genotype.Dataset, stat clump.Statistic, e
 	if len(aff) == 0 || len(un) == 0 {
 		return nil, fmt.Errorf("shard: dataset needs both affected and unaffected individuals (have %d/%d)", len(aff), len(un))
 	}
-	e := &Evaluator{src: src, affected: aff, unaffected: un, stat: stat, em: em, packed: packed}
-	if packed {
-		e.affMask = genotype.NewPlaneMask(d.NumIndividuals(), aff)
-		e.unMask = genotype.NewPlaneMask(d.NumIndividuals(), un)
-	}
-	return e, nil
+	return &Evaluator{
+		src:     src,
+		stat:    stat,
+		em:      em,
+		affMask: genotype.NewPlaneMask(d.NumIndividuals(), aff),
+		unMask:  genotype.NewPlaneMask(d.NumIndividuals(), un),
+	}, nil
 }
 
 // Source returns the evaluator's shard source.
@@ -89,10 +75,6 @@ func (e *Evaluator) Source() Source { return e.src }
 
 // NumSNPs returns the number of SNP columns available to haplotypes.
 func (e *Evaluator) NumSNPs() int { return e.src.Plan().NumSNPs }
-
-// PackedKernel reports whether the evaluator runs the packed 2-bit
-// kernel (true) or the byte reference kernel (false).
-func (e *Evaluator) PackedKernel() bool { return e.packed }
 
 func (e *Evaluator) checkSites(sites []int) error {
 	if len(sites) == 0 {
@@ -162,68 +144,31 @@ func (e *Evaluator) Evaluate(sites []int) (float64, error) {
 }
 
 // EvaluateScratch is Evaluate using caller-held scratch buffers — the
-// engine's per-worker hot path, allocation-free in steady state on the
-// packed kernel.
+// engine's per-worker hot path, allocation-free in steady state.
 func (e *Evaluator) EvaluateScratch(sites []int, scr *fitness.Scratch) (float64, error) {
 	if err := e.checkSites(sites); err != nil {
 		return 0, err
 	}
-	if e.packed {
-		if err := e.gatherPacked(sites, scr); err != nil {
-			return 0, err
-		}
-		affRes, err := e.estimatePacked(e.affMask, scr.PackedCols, &scr.Aff)
-		if err != nil {
-			return 0, err
-		}
-		unRes, err := e.estimatePacked(e.unMask, scr.PackedCols, &scr.Un)
-		if err != nil {
-			return 0, err
-		}
-		return scr.Score(affRes, unRes, e.stat)
-	}
 	if err := e.gather(sites, scr); err != nil {
 		return 0, err
 	}
-	affRes, err := e.estimate(e.affected, sites, scr)
+	affRes, err := e.estimate(e.affMask, scr.PackedCols, &scr.Aff)
 	if err != nil {
 		return 0, err
 	}
-	unRes, err := e.estimate(e.unaffected, sites, scr)
+	unRes, err := e.estimate(e.unMask, scr.PackedCols, &scr.Un)
 	if err != nil {
 		return 0, err
 	}
-	return fitness.Score(affRes, unRes, e.stat)
+	return scr.Score(affRes, unRes, e.stat)
 }
 
-// gather fetches the touched byte columns into scr.Cols. Sites arrive
-// strictly increasing, so shard indices are non-decreasing and each
-// distinct shard is requested exactly once per call.
-func (e *Evaluator) gather(sites []int, scr *fitness.Scratch) error {
-	if cap(scr.Cols) < len(sites) {
-		scr.Cols = make([][]genotype.Genotype, len(sites))
-	}
-	scr.Cols = scr.Cols[:len(sites)]
-	var cur *Shard
-	for i, s := range sites {
-		si := e.src.Plan().ShardOf(s)
-		if cur == nil || cur.Meta.Index != si {
-			sh, err := e.src.Shard(si)
-			if err != nil {
-				return err
-			}
-			cur = sh
-		}
-		scr.Cols[i] = cur.Column(s)
-	}
-	return nil
-}
-
-// gatherPacked fetches the touched packed columns into scr.PackedCols,
-// with the same one-request-per-shard walk as gather. The words were
-// packed when the shard was materialized; gathering copies slice
+// gather fetches the touched packed columns into scr.PackedCols. Sites
+// arrive strictly increasing, so shard indices are non-decreasing and
+// each distinct shard is requested exactly once per call. The words
+// were packed when the shard was materialized; gathering copies slice
 // headers only.
-func (e *Evaluator) gatherPacked(sites []int, scr *fitness.Scratch) error {
+func (e *Evaluator) gather(sites []int, scr *fitness.Scratch) error {
 	if cap(scr.PackedCols) < len(sites) {
 		scr.PackedCols = make([]genotype.PackedColumn, len(sites))
 	}
@@ -243,50 +188,9 @@ func (e *Evaluator) gatherPacked(sites []int, scr *fitness.Scratch) error {
 	return nil
 }
 
-// estimatePacked runs the packed EM over one status group's mask.
-func (e *Evaluator) estimatePacked(mask genotype.PlaneMask, cols []genotype.PackedColumn, scr *ehdiall.Scratch) (*ehdiall.Result, error) {
+// estimate runs the packed EM over one status group's mask.
+func (e *Evaluator) estimate(mask genotype.PlaneMask, cols []genotype.PackedColumn, scr *ehdiall.Scratch) (*ehdiall.Result, error) {
 	res, err := ehdiall.EstimatePacked(cols, mask, e.em, scr)
-	if err != nil {
-		if errors.Is(err, ehdiall.ErrNoData) {
-			return nil, fitness.ErrEmptyGroup
-		}
-		return nil, err
-	}
-	return res, nil
-}
-
-// estimate rebuilds the group's complete-case patterns from the
-// gathered byte columns — value-identical to
-// genotype.Dataset.ColumnPatterns over the same rows and sites — and
-// runs the EH-DIALL EM on them. Pattern buffers live in scr and are
-// reused across calls; ehdiall.Estimate does not retain them.
-func (e *Evaluator) estimate(rows []int, sites []int, scr *fitness.Scratch) (*ehdiall.Result, error) {
-	k := len(sites)
-	if need := len(rows) * k; cap(scr.Flat) < need {
-		scr.Flat = make([]genotype.Genotype, need)
-	}
-	if cap(scr.Pats) < len(rows) {
-		scr.Pats = make([][]genotype.Genotype, len(rows))
-	}
-	pats := scr.Pats[:0]
-	flat := scr.Flat[:0]
-	for _, r := range rows {
-		pat := flat[len(flat) : len(flat)+k]
-		ok := true
-		for i, col := range scr.Cols {
-			g := col[r]
-			if g == genotype.Missing {
-				ok = false
-				break
-			}
-			pat[i] = g
-		}
-		if ok {
-			flat = flat[:len(flat)+k]
-			pats = append(pats, pat)
-		}
-	}
-	res, err := ehdiall.Estimate(pats, k, e.em)
 	if err != nil {
 		if errors.Is(err, ehdiall.ErrNoData) {
 			return nil, fitness.ErrEmptyGroup

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/clump"
@@ -32,48 +33,41 @@ func windowsUpTo(n int) [][]int {
 }
 
 // TestEvaluatorParity proves the headline invariant: the sharded
-// evaluator returns bit-identical values to fitness.Pipeline for every
-// statistic (including AA), over both in-memory and spill-backed
-// sources and on both counting kernels — the packed 2-bit default and
-// the byte reference — including the boundary-spanning site sets of
-// windowsUpTo.
+// packed evaluator returns bit-identical values to the byte reference
+// pipeline (the test oracle) for every statistic (including AA), over
+// both in-memory and spill-backed sources, including the
+// boundary-spanning site sets of windowsUpTo.
 func TestEvaluatorParity(t *testing.T) {
 	d := testDataset(t, 51)
 	sources := map[string]func() (Source, error){
 		"mem":   func() (Source, error) { return NewMem(d, 8, 3) },
 		"spill": func() (Source, error) { return NewSpill(d, t.TempDir(), 8, 3) },
 	}
-	kernels := map[string]bool{"packed": true, "byte": false}
 	for _, stat := range clump.All() {
-		pipe, err := fitness.NewPipeline(d, stat, ehdiall.Config{})
+		oracle, err := fitness.NewPipelineKernel(d, stat, ehdiall.Config{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, mk := range sources {
-			for kname, packed := range kernels {
-				src, err := mk()
-				if err != nil {
-					t.Fatal(err)
-				}
-				ev, err := NewEvaluatorKernel(src, d, stat, ehdiall.Config{}, packed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ev.PackedKernel() != packed {
-					t.Fatalf("%s/%s: PackedKernel() = %v", name, kname, ev.PackedKernel())
-				}
-				for _, w := range windowsUpTo(51) {
-					want, werr := pipe.Evaluate(w)
-					got, gerr := ev.Evaluate(w)
-					if (werr == nil) != (gerr == nil) {
-						t.Fatalf("%s/%s/%v sites %v: err %v vs %v", name, kname, stat, w, werr, gerr)
-					}
-					if werr == nil && got != want {
-						t.Fatalf("%s/%s/%v sites %v: sharded %v != monolithic %v", name, kname, stat, w, got, want)
-					}
-				}
-				src.Close()
+			src, err := mk()
+			if err != nil {
+				t.Fatal(err)
 			}
+			ev, err := NewEvaluator(src, d, stat, ehdiall.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range windowsUpTo(51) {
+				want, werr := oracle.Evaluate(w)
+				got, gerr := ev.Evaluate(w)
+				if (werr == nil) != (gerr == nil) {
+					t.Fatalf("%s/%v sites %v: err %v vs %v", name, stat, w, werr, gerr)
+				}
+				if werr == nil && math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s/%v sites %v: sharded %v != byte oracle %v", name, stat, w, got, want)
+				}
+			}
+			src.Close()
 		}
 	}
 }

@@ -117,56 +117,48 @@ func (p Plan) Equal(q Plan) bool {
 }
 
 // Shard is one materialized shard: an immutable column-major slice of
-// the dataset. Safe for concurrent readers.
+// the dataset in the 2-bit representation. Safe for concurrent
+// readers.
 type Shard struct {
 	// Meta identifies the shard.
 	Meta Meta
-	// Rows is the individual count of every column.
-	Rows int
-	// Cols holds the genotype columns: Cols[i] is global column
-	// Meta.Start+i, one genotype per individual in dataset row order.
-	Cols [][]genotype.Genotype
-	// Packed holds the same columns in the 2-bit representation,
-	// packed once when the shard is materialized (built from the table
-	// or read back from a spill file) so the packed kernel gathers
-	// words, never repacks. Packed[i] mirrors Cols[i].
+	// Packed holds the genotype columns: Packed[i] is global column
+	// Meta.Start+i, one 2-bit code per individual in dataset row
+	// order. The words are packed once when the shard is materialized
+	// (built from the table or read back from a spill file), so the
+	// kernel gathers words and never repacks.
 	Packed []genotype.PackedColumn
 }
 
-// Column returns the genotypes of global column site, which must lie
-// in [Meta.Start, Meta.End).
-func (s *Shard) Column(site int) []genotype.Genotype {
-	return s.Cols[site-s.Meta.Start]
-}
-
-// PackedColumn returns the packed form of global column site, which
-// must lie in [Meta.Start, Meta.End).
+// PackedColumn returns global column site, which must lie in
+// [Meta.Start, Meta.End).
 func (s *Shard) PackedColumn(site int) genotype.PackedColumn {
 	return s.Packed[site-s.Meta.Start]
 }
 
-// pack fills s.Packed from s.Cols, sharing one flat word allocation
-// across the shard's columns.
-func (s *Shard) pack() {
-	nw := (s.Rows + genotype.WordGenotypes - 1) / genotype.WordGenotypes
-	flat := make([]uint64, nw*len(s.Cols))
-	s.Packed = make([]genotype.PackedColumn, len(s.Cols))
-	for i, col := range s.Cols {
-		s.Packed[i] = genotype.PackColumnInto(col, flat[i*nw:(i+1)*nw])
+// packShard materializes shard m of a table with the given row count.
+// column fills dst (len rows) with the genotypes of the shard's i-th
+// column; it is called once per column, in order, with one reused
+// buffer. The packed words of every column share one flat allocation.
+func packShard(m Meta, rows int, column func(i int, dst []genotype.Genotype) error) (*Shard, error) {
+	nw := (rows + genotype.WordGenotypes - 1) / genotype.WordGenotypes
+	words := make([]uint64, nw*m.Width())
+	col := make([]genotype.Genotype, rows)
+	sh := &Shard{Meta: m, Packed: make([]genotype.PackedColumn, m.Width())}
+	for i := range sh.Packed {
+		if err := column(i, col); err != nil {
+			return nil, err
+		}
+		sh.Packed[i] = genotype.PackColumnInto(col, words[i*nw:(i+1)*nw])
 	}
+	return sh, nil
 }
 
-// buildShard extracts shard m of the dataset into one flat allocation
-// and packs it.
+// buildShard packs shard m straight from the dataset.
 func buildShard(d *genotype.Dataset, m Meta) *Shard {
-	rows := d.NumIndividuals()
-	flat := make([]genotype.Genotype, m.Width()*rows)
-	sh := &Shard{Meta: m, Rows: rows, Cols: make([][]genotype.Genotype, m.Width())}
-	for i := 0; i < m.Width(); i++ {
-		col := flat[i*rows : (i+1)*rows]
-		d.Column(m.Start+i, col)
-		sh.Cols[i] = col
-	}
-	sh.pack()
+	sh, _ := packShard(m, d.NumIndividuals(), func(i int, dst []genotype.Genotype) error {
+		d.Column(m.Start+i, dst)
+		return nil
+	})
 	return sh
 }

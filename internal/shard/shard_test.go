@@ -1,9 +1,12 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/genotype"
 	"repro/internal/popgen"
@@ -83,7 +86,7 @@ func TestPlan(t *testing.T) {
 }
 
 // columnsEqual checks that the source serves every column of the
-// dataset, byte for byte.
+// dataset, genotype for genotype.
 func columnsEqual(t *testing.T, name string, d *genotype.Dataset, src Source) {
 	t.Helper()
 	plan := src.Plan()
@@ -96,14 +99,14 @@ func columnsEqual(t *testing.T, name string, d *genotype.Dataset, src Source) {
 			t.Fatalf("%s: shard %d meta mismatch", name, i)
 		}
 		for s := sh.Meta.Start; s < sh.Meta.End; s++ {
-			col := sh.Column(s)
-			if len(col) != d.NumIndividuals() {
-				t.Fatalf("%s: shard %d column %d has %d rows", name, i, s, len(col))
+			col := sh.PackedColumn(s)
+			if col.Len() != d.NumIndividuals() {
+				t.Fatalf("%s: shard %d column %d has %d rows", name, i, s, col.Len())
 			}
-			for r := range col {
-				if col[r] != d.Individuals[r].Genotypes[s] {
+			for r := 0; r < col.Len(); r++ {
+				if g := col.Get(r); g != d.Individuals[r].Genotypes[s] {
 					t.Fatalf("%s: shard %d column %d row %d: %v != %v",
-						name, i, s, r, col[r], d.Individuals[r].Genotypes[s])
+						name, i, s, r, g, d.Individuals[r].Genotypes[s])
 				}
 			}
 		}
@@ -188,13 +191,92 @@ func TestSpillFilesAreWriteOnceAndReusable(t *testing.T) {
 	// A different dataset spilled into the same directory replaces the
 	// stale files rather than serving the old dataset's genotypes.
 	d2 := testDataset(t, 51)
-	d2.Individuals[0].Genotypes[0] ^= 1 // different content, same shape
+	g := &d2.Individuals[0].Genotypes[0]
+	*g = (*g + 1) % 3 // different valid content, same shape (Missing wraps to 0)
 	src4, err := NewSpill(d2, dir, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src4.Close()
 	columnsEqual(t, "replaced", d2, src4)
+}
+
+// spillBytes is the on-disk image of shard m, built straight from the
+// dataset rows: the 40-byte header ("LDSHRD1\n", then parent
+// fingerprint, start, end and row count as little-endian uint64s)
+// followed by the shard's genotypes column-major, one byte each.
+func spillBytes(d *genotype.Dataset, plan Plan, m Meta) []byte {
+	b := []byte("LDSHRD1\n")
+	for _, v := range []uint64{plan.Parent, uint64(m.Start), uint64(m.End), uint64(plan.Rows)} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	for s := m.Start; s < m.End; s++ {
+		for _, ind := range d.Individuals {
+			b = append(b, byte(ind.Genotypes[s]))
+		}
+	}
+	return b
+}
+
+// TestSpillFileFormat pins the spill layout on disk. The round-trip
+// tests above would not notice the writer and reader drifting
+// together; this one checks the written bytes against the format, and
+// that a directory holding files in that format (as written by any
+// earlier build) is reused after a restart rather than rebuilt.
+func TestSpillFileFormat(t *testing.T) {
+	d := testDataset(t, 20) // shards 0-7, 8-15 and a narrow 16-19
+	dir := t.TempDir()
+	src, err := NewSpill(d, dir, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := src.Plan()
+	for i, m := range plan.Metas {
+		if _, err := src.Shard(i); err != nil {
+			t.Fatal(err)
+		}
+		want := spillBytes(d, plan, m)
+		if !bytes.Equal(want[:spillHeaderSize], spillHeader(plan, m)) {
+			t.Fatalf("shard %d: spillHeader differs from the pinned layout", i)
+		}
+		got, err := os.ReadFile(spillPath(dir, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("shard %d: spill file (%d bytes) differs from the pinned layout (%d bytes)", i, len(got), len(want))
+		}
+	}
+	src.Close()
+
+	// Files laid down in the pinned format before the source exists
+	// are served as they are: same genotypes, never rewritten.
+	dir2 := t.TempDir()
+	old := time.Date(2004, 4, 26, 0, 0, 0, 0, time.UTC)
+	for i, m := range plan.Metas {
+		path := spillPath(dir2, i)
+		if err := os.WriteFile(path, spillBytes(d, plan, m), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(path, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src2, err := NewSpill(d, dir2, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src2.Close()
+	columnsEqual(t, "pre-existing", d, src2)
+	for i := range plan.Metas {
+		fi, err := os.Stat(spillPath(dir2, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fi.ModTime().Equal(old) {
+			t.Fatalf("shard %d: pre-existing spill file was rewritten", i)
+		}
+	}
 }
 
 func TestSourceShardOutOfRange(t *testing.T) {

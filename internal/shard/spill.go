@@ -111,14 +111,13 @@ func (s *spillSource) loadShard(i int) (*Shard, error) {
 	if !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, errSpillStale) {
 		return nil, err
 	}
-	// First touch (or a stale leftover from another dataset): build
-	// from the table and spill. Write-once via temp+rename, so a
+	// First touch (or a stale leftover from another dataset): spill
+	// from the table and pack. Write-once via temp+rename, so a
 	// concurrent loader or a crash never exposes a torn file.
-	built := buildShard(s.data, m)
-	if err := writeSpill(path, s.lruSource.plan, built); err != nil {
+	if err := writeSpill(path, s.lruSource.plan, m, s.data); err != nil {
 		return nil, err
 	}
-	return built, nil
+	return buildShard(s.data, m), nil
 }
 
 // errSpillStale marks a structurally intact spill file that belongs to
@@ -140,28 +139,27 @@ func readSpill(path string, plan Plan, m Meta) (*Shard, error) {
 		return nil, fmt.Errorf("%w: %s: payload %d bytes, want %d",
 			errSpillStale, path, len(payload), m.Width()*plan.Rows)
 	}
-	flat := make([]genotype.Genotype, len(payload))
-	for i, v := range payload {
-		g := genotype.Genotype(v)
-		if !g.Valid() {
-			return nil, fmt.Errorf("shard: corrupt spill file %s: invalid genotype %d at offset %d", path, v, i)
+	return packShard(m, plan.Rows, func(c int, dst []genotype.Genotype) error {
+		off := c * plan.Rows
+		for r, v := range payload[off : off+plan.Rows] {
+			g := genotype.Genotype(v)
+			if !g.Valid() {
+				return fmt.Errorf("shard: corrupt spill file %s: invalid genotype %d at offset %d", path, v, off+r)
+			}
+			dst[r] = g
 		}
-		flat[i] = g
-	}
-	sh := &Shard{Meta: m, Rows: plan.Rows, Cols: make([][]genotype.Genotype, m.Width())}
-	for c := 0; c < m.Width(); c++ {
-		sh.Cols[c] = flat[c*plan.Rows : (c+1)*plan.Rows]
-	}
-	sh.pack()
-	return sh, nil
+		return nil
+	})
 }
 
-// writeSpill lands one shard file atomically (temp + rename).
-func writeSpill(path string, plan Plan, sh *Shard) error {
-	buf := make([]byte, 0, spillHeaderSize+sh.Meta.Width()*sh.Rows)
-	buf = append(buf, spillHeader(plan, sh.Meta)...)
-	for _, col := range sh.Cols {
-		for _, g := range col {
+// writeSpill lands shard m of the dataset as one file atomically
+// (temp + rename).
+func writeSpill(path string, plan Plan, m Meta, d *genotype.Dataset) error {
+	buf := make([]byte, 0, spillHeaderSize+m.Width()*plan.Rows)
+	buf = append(buf, spillHeader(plan, m)...)
+	col := make([]genotype.Genotype, plan.Rows)
+	for j := m.Start; j < m.End; j++ {
+		for _, g := range d.Column(j, col) {
 			buf = append(buf, byte(g))
 		}
 	}

@@ -43,8 +43,6 @@ type settings struct {
 	shardSizeSet bool
 	spillDir     string
 	spillDirSet  bool
-	packed       bool
-	packedSet    bool
 }
 
 func (s *settings) apply(opts []Option) error {
@@ -62,8 +60,8 @@ func (s *settings) apply(opts []Option) error {
 // sessionOnly reports an error if any session-level option was given
 // (used to reject them at run level).
 func (s *settings) sessionOnly() error {
-	if s.statSet || s.backendSet || s.workersSet || s.evalSet || s.jobLimitSet || s.shardSizeSet || s.spillDirSet || s.packedSet {
-		return fmt.Errorf("%w: WithStatistic, WithBackend, WithWorkers, WithEvaluator, WithJobLimit, WithShardSize, WithSpillDir and WithPackedKernel are session-level options; create a new Session to change the evaluation backend", ErrBadConfig)
+	if s.statSet || s.backendSet || s.workersSet || s.evalSet || s.jobLimitSet || s.shardSizeSet || s.spillDirSet {
+		return fmt.Errorf("%w: WithStatistic, WithBackend, WithWorkers, WithEvaluator, WithJobLimit, WithShardSize and WithSpillDir are session-level options; create a new Session to change the evaluation backend", ErrBadConfig)
 	}
 	return nil
 }
@@ -178,23 +176,6 @@ func WithSpillDir(dir string) Option {
 		}
 		s.spillDir = dir
 		s.spillDirSet = true
-		return nil
-	}
-}
-
-// WithPackedKernel selects the counting kernel behind the session's
-// evaluation backend: on (the default) runs the packed 2-bit
-// representation — genotype columns packed 32 to a uint64 word and
-// tallied with masked popcounts — while off runs the byte-per-genotype
-// reference implementation. Both kernels produce bit-identical fitness
-// values for every statistic; the option exists for A/B performance
-// runs and for exercising the reference path. Session-level only, and
-// WithEvaluator does not combine with it (a caller-owned evaluator
-// already fixed its kernel at construction).
-func WithPackedKernel(on bool) Option {
-	return func(s *settings) error {
-		s.packed = on
-		s.packedSet = true
 		return nil
 	}
 }

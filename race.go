@@ -295,7 +295,7 @@ func (s *Session) evaluatorFor(stat Statistic) (Evaluator, error) {
 	if ev, ok := s.raceEvals[stat]; ok {
 		return ev, nil
 	}
-	eng, err := NewEngineKernel(s.data, stat, workers, s.packed)
+	eng, err := NewEngine(s.data, stat, workers)
 	if err != nil {
 		return nil, err
 	}

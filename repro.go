@@ -53,14 +53,9 @@
 //	    fmt.Printf("gen %d: %v\n", entry.Generation, entry.BestBySize)
 //	}
 //	result, err := job.Wait() // or job.Stop() for a partial result
-//
-// The pre-Session entry points (Run, RunWith, RunOptions) remain as
-// deprecated thin shims over Sessions and produce bit-identical
-// results.
 package repro
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -183,14 +178,6 @@ func NewEvaluator(d *Dataset, stat Statistic) (Evaluator, error) {
 	return fitness.NewPipeline(d, stat, ehdiall.Config{})
 }
 
-// NewEvaluatorKernel is NewEvaluator with an explicit kernel choice:
-// packed selects the 2-bit popcount kernel (the default), false the
-// byte-per-genotype reference implementation. Both produce
-// bit-identical fitness values.
-func NewEvaluatorKernel(d *Dataset, stat Statistic, packed bool) (Evaluator, error) {
-	return fitness.NewPipelineKernel(d, stat, ehdiall.Config{}, packed)
-}
-
 // ParallelEvaluator is a synchronous master/slave evaluator (§4.5).
 // Close it when done.
 type ParallelEvaluator interface {
@@ -234,13 +221,7 @@ func NewEngine(d *Dataset, stat Statistic, workers int) (*NativeEngine, error) {
 	return engine.NewForDataset(d, stat, engine.Options{Workers: workers})
 }
 
-// NewEngineKernel is NewEngine with an explicit kernel choice; see
-// WithPackedKernel for the semantics.
-func NewEngineKernel(d *Dataset, stat Statistic, workers int, packed bool) (*NativeEngine, error) {
-	return engine.NewForDataset(d, stat, engine.Options{Workers: workers, ByteKernel: !packed})
-}
-
-// Backend selects the parallel evaluation backend behind Run.
+// Backend selects the parallel evaluation backend behind a Session.
 type Backend int
 
 const (
@@ -260,97 +241,22 @@ const (
 )
 
 // NewBackend constructs the selected evaluation backend over the
-// dataset with the given number of workers (0 = one per CPU). Close
-// the returned evaluator when done.
+// dataset with the given number of workers (0 = one per CPU). Every
+// backend runs the packed 2-bit counting kernel, and a fixed GA seed
+// produces the identical result on each. Close the returned evaluator
+// when done.
 func NewBackend(d *Dataset, stat Statistic, backend Backend, workers int) (ParallelEvaluator, error) {
-	return NewBackendKernel(d, stat, backend, workers, true)
-}
-
-// NewBackendKernel is NewBackend with an explicit kernel choice: every
-// backend's pipeline runs the packed 2-bit kernel when packed is true
-// (the default elsewhere), the byte reference implementation
-// otherwise. A fixed GA seed produces the identical result under
-// either kernel on every backend.
-func NewBackendKernel(d *Dataset, stat Statistic, backend Backend, workers int, packed bool) (ParallelEvaluator, error) {
 	switch backend {
 	case BackendNative:
-		return NewEngineKernel(d, stat, workers, packed)
+		return NewEngine(d, stat, workers)
 	case BackendPool:
-		pipe, err := fitness.NewPipelineKernel(d, stat, ehdiall.Config{}, packed)
-		if err != nil {
-			return nil, err
-		}
-		return master.NewPool(pipe, workers)
+		return NewParallelEvaluator(d, stat, workers)
 	case BackendPVM:
-		pipe, err := fitness.NewPipelineKernel(d, stat, ehdiall.Config{}, packed)
+		pipe, err := fitness.NewPipeline(d, stat, ehdiall.Config{})
 		if err != nil {
 			return nil, err
 		}
 		return master.NewPVMEvaluator(pipe, workers, pvm.WithLatency(pvm.DefaultMessageLatency))
 	}
 	return nil, fmt.Errorf("repro: unknown backend %d", backend)
-}
-
-// RunOptions tunes the deprecated one-call Run entry point.
-//
-// Deprecated: use NewSession with functional options (WithStatistic,
-// WithBackend, WithWorkers) instead. RunOptions cannot distinguish an
-// unset Statistic from an explicit zero value — the options API can.
-type RunOptions struct {
-	// Statistic selects the fitness (the zero value means
-	// DefaultStatistic, T1).
-	Statistic Statistic
-	// Slaves sizes the evaluation worker pool (0 = one per CPU).
-	Slaves int
-	// Backend selects the evaluation backend (default BackendNative).
-	// A fixed seed produces the identical GAResult under every
-	// backend; they differ only in speed.
-	Backend Backend
-}
-
-// Run executes the complete published method on a dataset: it builds
-// the evaluation pipeline, starts the selected evaluation backend
-// (the native engine by default), runs the multipopulation adaptive
-// GA and returns its per-size best haplotypes.
-//
-// Deprecated: use NewSession and Session.Run. A Session keeps the
-// evaluation backend — and its memoizing fitness cache — alive across
-// runs, and its runs are cancellable through a context. Run is a thin
-// shim over a throwaway single-run Session and produces bit-identical
-// results.
-func Run(d *Dataset, cfg GAConfig, opts RunOptions) (*GAResult, error) {
-	stat := opts.Statistic
-	if stat == 0 {
-		stat = DefaultStatistic // zero value always meant "unset" here
-	}
-	slaves := opts.Slaves
-	if slaves < 0 {
-		slaves = 0 // the pre-Session backends treated any n <= 0 as one per CPU
-	}
-	s, err := NewSession(d,
-		WithStatistic(stat),
-		WithBackend(opts.Backend),
-		WithWorkers(slaves))
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.Run(context.Background(), WithGAConfig(cfg)) //ldvet:allow ctxflow: deprecated pre-Session shim, kept bit-identical; use Session.Run(ctx)
-}
-
-// RunWith executes the GA over a caller-supplied evaluator — for
-// example a NativeEngine whose Report the caller wants to inspect
-// afterwards, or a custom decorated pipeline. The evaluator is not
-// closed.
-//
-// Deprecated: use NewSession with WithEvaluator and Session.Run; the
-// session form adds context cancellation and background Jobs over the
-// same evaluator. RunWith is a thin shim over a single-run Session and
-// produces bit-identical results.
-func RunWith(ev Evaluator, numSNPs int, cfg GAConfig) (*GAResult, error) {
-	if ev == nil {
-		return nil, fmt.Errorf("%w: nil evaluator", ErrBadConfig)
-	}
-	s := &Session{numSNPs: numSNPs, stat: DefaultStatistic, eval: ev}
-	return s.Run(context.Background(), WithGAConfig(cfg)) //ldvet:allow ctxflow: deprecated pre-Session shim, kept bit-identical; use Session.Run(ctx)
 }

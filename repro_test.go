@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/baseline"
@@ -99,13 +100,18 @@ func TestRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(d, GAConfig{
+	s, err := NewSession(d, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res, err := s.Run(context.Background(), WithGAConfig(GAConfig{
 		MinSize: 2, MaxSize: 3,
 		PopulationSize:     40,
 		PairsPerGeneration: 10,
 		StagnationLimit:    20,
 		Seed:               1,
-	}, RunOptions{Slaves: 2})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

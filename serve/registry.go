@@ -45,12 +45,6 @@ type RegistryConfig struct {
 	// one write-once subdirectory per dataset, reused across restarts.
 	// Empty keeps shards in memory. ldserve wires -spill-dir here.
 	SpillDir string
-	// ByteKernel, when true, builds every evaluation backend on the
-	// byte-per-genotype reference kernel instead of the packed 2-bit
-	// popcount kernel (the default). Values are bit-identical either
-	// way; the switch exists for A/B performance runs. ldserve wires
-	// -packed=false here.
-	ByteKernel bool
 }
 
 func (c RegistryConfig) withDefaults() RegistryConfig {
@@ -588,9 +582,9 @@ func (r *Registry) addSessionLocked(id string, req SessionRequest, de *datasetEn
 	ev, ok := de.backends[key]
 	if !ok {
 		if req.ShardSize > 0 {
-			ev, err = repro.NewShardedEngineKernel(de.data, stat, req.ShardSize, r.spillDirFor(de.id), req.Workers, !r.cfg.ByteKernel)
+			ev, err = repro.NewShardedEngine(de.data, stat, req.ShardSize, r.spillDirFor(de.id), req.Workers)
 		} else {
-			ev, err = repro.NewBackendKernel(de.data, stat, be, req.Workers, !r.cfg.ByteKernel)
+			ev, err = repro.NewBackend(de.data, stat, be, req.Workers)
 		}
 		if err != nil {
 			return nil, err

@@ -38,12 +38,6 @@ type Session struct {
 	shardSize int
 	spillDir  string
 
-	// packed records the session backend's counting kernel (see
-	// WithPackedKernel); true unless the option disabled it. For a
-	// WithEvaluator session it reports true — the supplied evaluator
-	// fixed its own kernel.
-	packed bool
-
 	// Island-mode defaults (WithIslands / WithMigration at session
 	// level); run-level options override them per run.
 	islands     int
@@ -92,13 +86,6 @@ func NewSession(d *Dataset, opts ...Option) (*Session, error) {
 		migInterval: st.migInterval,
 		migCount:    st.migCount,
 		migSet:      st.migSet,
-		packed:      true,
-	}
-	if st.packedSet {
-		if st.evalSet {
-			return nil, fmt.Errorf("%w: WithEvaluator supplies the backend; WithPackedKernel does not combine with it", ErrBadConfig)
-		}
-		s.packed = st.packed
 	}
 	if st.migSet && st.islands < 1 {
 		return nil, fmt.Errorf("%w: WithMigration requires WithIslands(n >= 1)", ErrBadConfig)
@@ -116,7 +103,7 @@ func NewSession(d *Dataset, opts ...Option) (*Session, error) {
 		if st.backendSet && st.backend != BackendNative {
 			return nil, fmt.Errorf("%w: only the native backend shards; WithShardSize/WithSpillDir do not combine with WithBackend(%d)", ErrBadConfig, st.backend)
 		}
-		eng, err := NewShardedEngineKernel(d, s.stat, st.shardSize, st.spillDir, st.workers, s.packed)
+		eng, err := NewShardedEngine(d, s.stat, st.shardSize, st.spillDir, st.workers)
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +117,7 @@ func NewSession(d *Dataset, opts ...Option) (*Session, error) {
 		s.eval = st.eval
 		return s, nil
 	}
-	pool, err := NewBackendKernel(d, s.stat, s.backend, st.workers, s.packed)
+	pool, err := NewBackend(d, s.stat, s.backend, st.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -177,11 +164,6 @@ func (s *Session) ShardSize() int { return s.shardSize }
 // SpillDir returns the directory the session's shards spill to, or ""
 // when shards stay in memory.
 func (s *Session) SpillDir() string { return s.spillDir }
-
-// PackedKernel reports whether the session's backend counts on the
-// packed 2-bit kernel (the default) or the byte reference kernel; see
-// WithPackedKernel. WithEvaluator sessions report true.
-func (s *Session) PackedKernel() bool { return s.packed }
 
 // Workers returns the evaluation backend's worker count, or 0 when the
 // backend does not expose one.

@@ -333,52 +333,27 @@ func TestClosedSessionRejectsRuns(t *testing.T) {
 	}
 }
 
-// TestStatisticZeroShimBehavior: the deprecated RunOptions zero value
-// selects DefaultStatistic, matching an explicit WithStatistic(T1)
-// session bit for bit.
-func TestStatisticZeroShimBehavior(t *testing.T) {
+// TestWithEvaluatorSession: a session over a caller-owned engine runs
+// on it without taking ownership — Close leaves the engine usable —
+// and WithStatistic may accompany WithEvaluator as a declaration while
+// WithBackend/WithWorkers may not.
+func TestWithEvaluatorSession(t *testing.T) {
 	d := backendTestDataset(t)
-	cfg := backendTestConfig()
-
-	shim, err := repro.Run(d, cfg, repro.RunOptions{}) //nolint:staticcheck // deprecated shim under test
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := repro.NewSession(d, repro.WithStatistic(repro.T1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	explicit, err := s.Run(context.Background(), repro.WithGAConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "shim-default-vs-explicit-T1", explicit, shim)
-}
-
-func TestRunWithShimOverSession(t *testing.T) {
-	d := backendTestDataset(t)
-	cfg := backendTestConfig()
 	eng, err := repro.NewEngine(d, repro.T1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	viaShim, err := repro.RunWith(eng, d.NumSNPs(), cfg) //nolint:staticcheck // deprecated shim under test
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, err := repro.NewSession(d, repro.WithEvaluator(eng))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A WithEvaluator session does not close the caller's engine.
-	defer s.Close()
-	viaSession, err := s.Run(context.Background(), repro.WithGAConfig(cfg))
-	if err != nil {
+	if _, err := s.Run(context.Background(), repro.WithGAConfig(backendTestConfig())); err != nil {
 		t.Fatal(err)
 	}
-	assertSameResult(t, "runwith-vs-withevaluator", viaSession, viaShim)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := eng.Evaluate([]int{0, 1}); err != nil {
 		t.Fatalf("session Close closed the caller-owned engine: %v", err)
 	}

@@ -51,14 +51,6 @@ func (e *ShardedEngine) Close() {
 // directory reuses the files), served from memory otherwise. workers
 // sizes the evaluation pool (0 = one per CPU). Close it when done.
 func NewShardedEngine(d *Dataset, stat Statistic, shardSize int, spillDir string, workers int) (*ShardedEngine, error) {
-	return NewShardedEngineKernel(d, stat, shardSize, spillDir, workers, true)
-}
-
-// NewShardedEngineKernel is NewShardedEngine with an explicit kernel
-// choice: packed selects the 2-bit popcount kernel (the default
-// elsewhere), false the byte reference implementation. Both produce
-// bit-identical values.
-func NewShardedEngineKernel(d *Dataset, stat Statistic, shardSize int, spillDir string, workers int, packed bool) (*ShardedEngine, error) {
 	var (
 		src shard.Source
 		err error
@@ -71,7 +63,7 @@ func NewShardedEngineKernel(d *Dataset, stat Statistic, shardSize int, spillDir 
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
-	ev, err := shard.NewEvaluatorKernel(src, d, stat, ehdiall.Config{}, packed)
+	ev, err := shard.NewEvaluator(src, d, stat, ehdiall.Config{})
 	if err != nil {
 		src.Close()
 		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
