@@ -63,3 +63,65 @@ func TestBatchAllocBound(t *testing.T) {
 		t.Errorf("warm batch path allocates %.1f/candidate (%.0f/batch), want <= 8", perCandidate, perBatch)
 	}
 }
+
+// TestColdBatchAllocBound pins the per-candidate allocation budget of
+// the cold path TestBatchAllocBound does not reach: every candidate is
+// a leader miss that is queued, claimed by a worker, computed and
+// published. The kernel allocates nothing (the worker's Scratch); what
+// remains is the batch bookkeeping plus each candidate's cache entry
+// and in-flight record, and the dispatch itself must add nothing per
+// candidate.
+func TestColdBatchAllocBound(t *testing.T) {
+	d, err := popgen.Generate(popgen.Config{
+		NumSNPs: 400, NumAffected: 25, NumUnaffected: 25,
+		RiskHaplotypeFreq: 0.3,
+		Disease: popgen.DiseaseModel{
+			CausalSites: []int{2, 7}, RiskAlleles: []uint8{1, 1},
+			BaseRisk: 0.15, HaplotypeEffect: 0.6,
+		},
+		Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewForDataset(d, clump.T1, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	// AllocsPerRun calls the function runs+1 times; build every batch
+	// up front so each call scores 64 sets the engine has never seen.
+	const batchSize, runs = 64, 20
+	batches := make([][][]int, runs+1)
+	for r := range batches {
+		batches[r] = make([][]int, batchSize)
+		for j := range batches[r] {
+			n := r*batchSize + j
+			a := n % 390
+			batches[r][j] = []int{a, a + 1 + n/390}
+		}
+	}
+	call := 0
+	perBatch := testing.AllocsPerRun(runs, func() {
+		_, errs := e.EvaluateBatch(batches[call])
+		call++
+		for i := range errs {
+			if errs[i] != nil {
+				t.Fatalf("item %d: %v", i, errs[i])
+			}
+		}
+	})
+	if r := e.Report(); r.CacheHits != 0 || r.Computed != r.Requests {
+		t.Fatalf("report %+v: want every candidate computed, none cached", r)
+	}
+	perCandidate := perBatch / batchSize
+	t.Logf("cold batch path: %.1f allocations/candidate", perCandidate)
+	// Measured 5.6/candidate on linux/amd64: the cache-key and dedupe
+	// key strings, cache and in-flight map growth, the flight's done
+	// channel, and the batch's shared tables. A per-candidate dispatch
+	// allocation (a flight record or job of its own) crosses 6.
+	if perCandidate > 6 {
+		t.Errorf("cold batch path allocates %.1f/candidate (%.0f/batch), want <= 6", perCandidate, perBatch)
+	}
+}

@@ -14,13 +14,26 @@
 // PLINK 2's aggressive reuse of intermediate statistics).
 //
 // A batch is served in one pass: in-batch duplicates are coalesced,
-// cached sets are answered immediately, and only the novel sets reach
-// the workers. Within a batch each distinct haplotype is computed at
-// most once, and across sequential batches at most once per dataset.
-// (Concurrent batches that miss on the same set before either has
-// filled the cache may compute it twice — there is no in-flight
-// coalescing yet; the result is still correct, only the work is
-// duplicated.)
+// cached sets are answered immediately, sets a concurrent batch is
+// already computing are joined in flight (singleflight: the follower
+// waits for that computation instead of repeating it), and only the
+// genuinely novel sets reach the workers. With the cache on, each
+// distinct haplotype is therefore computed at most once per engine,
+// across every batch that shares it.
+//
+// # Run queue
+//
+// The novel sets of a batch (its leader misses) go on the engine's run
+// queue as one job, and the batch parks until the job is done or its
+// context is cancelled. Workers claim one item at a time under one
+// short mutex, round-robin across every queued job, so concurrent
+// batches interleave item by item and a large batch cannot starve a
+// small one. The worker that computes an item publishes it itself:
+// the cache entry, the flight's outcome, the flight's removal from the
+// in-flight table, and the wake-up of the batches following that key.
+// A cancelled batch withdraws its unclaimed items, which resolve with
+// the context's error; a claimed item checks the context before it is
+// evaluated, and evaluations already running finish.
 //
 // # Cache-key canonicalization
 //

@@ -51,25 +51,37 @@ type KeyFingerprinter interface {
 	KeyFingerprint(sites []int) uint64
 }
 
-// job is one unit of worker work: score sites, write the slot, signal.
-type job struct {
-	sites []int
-	slot  *slot
-	wg    *sync.WaitGroup
-}
-
 type slot struct {
 	value float64
 	err   error
 }
 
 // flight is one in-flight computation of a canonical key, shared by
-// every concurrent batch that misses on it (singleflight). The leader
-// closes done after filling value/err; followers only read afterwards.
+// every concurrent batch that misses on it (singleflight). The worker
+// that computes the key closes done after filling value/err; followers
+// only read afterwards.
 type flight struct {
 	done  chan struct{}
 	value float64
 	err   error
+}
+
+// runJob is one batch's leader misses on the engine's run queue. The
+// batch owns the tables; a worker that claims item i computes
+// sites[items[i]] and publishes it itself (slot, cache entry, flight),
+// and the last item to resolve closes done. keys and flights are nil
+// when the cache is disabled.
+type runJob struct {
+	ctx     context.Context
+	items   []int
+	sites   [][]int
+	keys    []string
+	flights []*flight
+	slots   []slot
+
+	next    int // first unclaimed item; guarded by Engine.qmu
+	pending atomic.Int64
+	done    chan struct{}
 }
 
 // Engine is the native concurrent evaluator: a worker pool over an
@@ -99,9 +111,19 @@ type Engine struct {
 	flightMu sync.Mutex
 	inflight map[string]*flight
 
+	// qmu guards the run queue: the jobs with unclaimed items, in
+	// arrival order, and rr, the index of the job the next claim is
+	// taken from. Workers sleep on qcond while the queue is empty.
+	qmu   sync.Mutex
+	qcond sync.Cond
+	queue []*runJob
+	rr    int
+
+	// mu orders Close after every batch: a batch holds it for reading
+	// while its job is queued or running. Close writes closed under
+	// both mu and qmu, so either lock guards a read.
 	mu     sync.RWMutex
 	closed bool
-	jobs   chan job
 	wg     sync.WaitGroup
 }
 
@@ -133,8 +155,8 @@ func New(inner fitness.Evaluator, opts Options) (*Engine, error) {
 		start:       time.Now(),
 		perWorker:   make([]atomic.Int64, opts.Workers),
 		inflight:    make(map[string]*flight),
-		jobs:        make(chan job),
 	}
+	e.qcond.L = &e.qmu
 	if !opts.DisableCache {
 		e.cache = newShardedCache(opts.CacheShards)
 	}
@@ -159,26 +181,126 @@ func NewForDataset(d *genotype.Dataset, stat clump.Statistic, opts Options) (*En
 	return New(pipe, opts)
 }
 
-// worker scores jobs until the engine closes, tallying its own count.
-// When the inner evaluator supports scratch-backed evaluation (the
-// packed pipeline and the shard evaluator do), the worker owns one
-// Scratch for its whole lifetime and routes every job through it, so
-// the steady-state batch path allocates nothing per candidate.
+// worker claims and scores queued items until the engine closes,
+// tallying its own count. When the inner evaluator supports
+// scratch-backed evaluation (the packed pipeline and the shard
+// evaluator do), the worker owns one Scratch for its whole lifetime
+// and routes every item through it, so the steady-state batch path
+// allocates nothing per candidate.
 func (e *Engine) worker(id int) {
 	defer e.wg.Done()
+	eval := e.inner.Evaluate
 	if se, ok := e.inner.(fitness.ScratchEvaluator); ok {
 		scr := fitness.NewScratch()
-		for j := range e.jobs {
-			j.slot.value, j.slot.err = se.EvaluateScratch(j.sites, scr)
-			e.perWorker[id].Add(1)
-			j.wg.Done()
-		}
-		return
+		eval = func(sites []int) (float64, error) { return se.EvaluateScratch(sites, scr) }
 	}
-	for j := range e.jobs {
-		j.slot.value, j.slot.err = e.inner.Evaluate(j.sites)
-		e.perWorker[id].Add(1)
-		j.wg.Done()
+	for {
+		j, i, ok := e.claim()
+		if !ok {
+			return
+		}
+		// A cancelled batch withdraws what is still queued; an item
+		// claimed just before the cancellation is dropped here.
+		err := j.ctx.Err()
+		var v float64
+		if err == nil {
+			v, err = eval(j.sites[j.items[i]])
+			e.perWorker[id].Add(1)
+		}
+		e.publish(j, i, v, err)
+	}
+}
+
+// enqueue puts a batch's job on the run queue and wakes as many idle
+// workers as it has items.
+func (e *Engine) enqueue(j *runJob) {
+	e.qmu.Lock()
+	e.queue = append(e.queue, j)
+	e.qmu.Unlock()
+	for n := min(len(j.items), e.workers); n > 0; n-- {
+		e.qcond.Signal()
+	}
+}
+
+// claim blocks until an item is queued and takes it, round-robin
+// across the queued jobs so concurrent batches interleave item by
+// item. It reports false once the engine is closed.
+func (e *Engine) claim() (*runJob, int, bool) {
+	e.qmu.Lock()
+	defer e.qmu.Unlock()
+	for len(e.queue) == 0 {
+		if e.closed {
+			return nil, 0, false
+		}
+		e.qcond.Wait()
+	}
+	if e.rr >= len(e.queue) {
+		e.rr = 0
+	}
+	j := e.queue[e.rr]
+	i := j.next
+	j.next++
+	if j.next == len(j.items) {
+		e.dequeueLocked(e.rr) // rr now names the following job
+	} else {
+		e.rr++
+	}
+	return j, i, true
+}
+
+// withdraw takes j's unclaimed items off the queue (all of them, if j
+// was never queued) and resolves them with err; items a worker has
+// already claimed still publish themselves.
+func (e *Engine) withdraw(j *runJob, err error) {
+	e.qmu.Lock()
+	first := j.next
+	if first < len(j.items) {
+		for q, qj := range e.queue {
+			if qj == j {
+				e.dequeueLocked(q)
+				break
+			}
+		}
+		j.next = len(j.items)
+	}
+	e.qmu.Unlock()
+	for i := first; i < len(j.items); i++ {
+		e.publish(j, i, 0, err)
+	}
+}
+
+// dequeueLocked removes queue[q], keeping the round-robin cursor on
+// the job that followed it. e.qmu must be held.
+func (e *Engine) dequeueLocked(q int) {
+	copy(e.queue[q:], e.queue[q+1:])
+	e.queue[len(e.queue)-1] = nil
+	e.queue = e.queue[:len(e.queue)-1]
+	if e.rr > q {
+		e.rr--
+	}
+}
+
+// publish resolves item i of j: the slot, then (with the cache on) the
+// cache entry for a value, the flight's outcome, its removal from the
+// in-flight table — cache before removal, so a batch that misses the
+// flight finds the value — and finally the followers' wake-up. The
+// last item of the job closes its done latch.
+func (e *Engine) publish(j *runJob, i int, v float64, err error) {
+	u := j.items[i]
+	j.slots[u] = slot{value: v, err: err}
+	if j.flights != nil {
+		if err == nil {
+			e.cache.set(j.keys[u], v)
+		}
+		f := j.flights[u]
+		f.value, f.err = v, err
+		e.flightMu.Lock()
+		delete(e.inflight, j.keys[u])
+		e.flightMu.Unlock()
+		close(f.done)
+	}
+	if j.pending.Add(-1) == 0 {
+		close(j.done)
 	}
 }
 
@@ -204,14 +326,14 @@ func (e *Engine) EvaluateBatch(batch [][]int) ([]float64, []error) {
 // EvaluateBatchContext scores a whole generation in one pass:
 // duplicates are coalesced, memoized sets answered from the cache,
 // sets already being computed by a concurrent batch joined in flight
-// (singleflight), and only the genuinely novel sets fan out to the
-// workers. Results are positional and the call returns only when every
-// item is resolved — the synchronous barrier the GA's generational
-// model expects.
+// (singleflight), and only the genuinely novel sets go on the run
+// queue for the workers. Results are positional and the call returns
+// only when every item is resolved — the synchronous barrier the GA's
+// generational model expects.
 //
-// Cancelling ctx stops the batch promptly: no further work is handed
-// to the workers, evaluations already in flight complete, and every
-// unstarted item reports ctx's error.
+// Cancelling ctx stops the batch promptly: its unclaimed items are
+// withdrawn from the run queue, evaluations already running complete,
+// and every unstarted item reports ctx's error.
 func (e *Engine) EvaluateBatchContext(ctx context.Context, batch [][]int) ([]float64, []error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -246,8 +368,11 @@ func (e *Engine) EvaluateBatchContext(ctx context.Context, batch [][]int) ([]flo
 		howCoalesced
 	)
 	how := make([]byte, len(unique))
-	keys := make([]string, len(unique))
+	var keys []string
+	var flights []*flight
 	if e.cache != nil {
+		keys = make([]string, len(unique))
+		flights = make([]*flight, len(unique))
 		for u, sites := range unique {
 			fp := e.fingerprint
 			if e.keyFP != nil {
@@ -260,10 +385,15 @@ func (e *Engine) EvaluateBatchContext(ctx context.Context, batch [][]int) ([]flo
 	for u := range pending {
 		pending[u] = u
 	}
+	leaders := make([]int, 0, len(unique))
+	var followers []int
 	for len(pending) > 0 {
-		var leaders, followers []int
-		flights := make(map[int]*flight, len(pending))
-		for _, u := range pending {
+		leaders, followers = leaders[:0], followers[:0]
+		var fl []flight // this round's flights, one allocation
+		if e.cache != nil {
+			fl = make([]flight, len(pending))
+		}
+		for n, u := range pending {
 			if e.cache == nil {
 				leaders = append(leaders, u)
 				continue
@@ -277,17 +407,18 @@ func (e *Engine) EvaluateBatchContext(ctx context.Context, batch [][]int) ([]flo
 			f, ok := e.inflight[keys[u]]
 			if !ok {
 				// A previous leader may have published (cache set,
-				// flight removed — in that order, both under this
-				// lock for the removal) between our cache miss above
-				// and this lookup; re-check before leading, or the
-				// set would be computed twice.
+				// flight removed — in that order, the removal under
+				// this lock) between our cache miss above and this
+				// lookup; re-check before leading, or the set would
+				// be computed twice.
 				if v, cached := e.cache.get(keys[u]); cached {
 					e.flightMu.Unlock()
 					uslots[u] = slot{value: v}
 					how[u] = howCached
 					continue
 				}
-				f = &flight{done: make(chan struct{})}
+				f = &fl[n]
+				f.done = make(chan struct{})
 				e.inflight[keys[u]] = f
 			}
 			e.flightMu.Unlock()
@@ -300,58 +431,20 @@ func (e *Engine) EvaluateBatchContext(ctx context.Context, batch [][]int) ([]flo
 			}
 		}
 
-		// Fan the leader misses out to the workers. Once ctx is
-		// cancelled no further work is dispatched and the remaining
-		// leaders resolve with ctx's error. Publishing a flight (value
-		// into the cache, done closed, entry removed) must happen on
-		// every path, or followers would block forever.
+		// Queue the leader misses as one job; the workers compute and
+		// publish each item. Every flight this batch leads must be
+		// published on every path, or followers would block forever.
 		if len(leaders) > 0 {
-			e.mu.RLock()
-			if e.closed {
-				e.mu.RUnlock()
-				for _, u := range leaders {
-					uslots[u].err = ErrClosed
-				}
-			} else {
-				var wg sync.WaitGroup
-				for _, u := range leaders {
-					if err := ctx.Err(); err != nil {
-						uslots[u].err = err
-						continue
-					}
-					wg.Add(1)
-					select {
-					case e.jobs <- job{sites: unique[u], slot: &uslots[u], wg: &wg}:
-					case <-ctx.Done():
-						wg.Done()
-						uslots[u].err = ctx.Err()
-					}
-				}
-				wg.Wait()
-				e.mu.RUnlock()
-				if e.cache != nil {
-					for _, u := range leaders {
-						if uslots[u].err == nil {
-							e.cache.set(keys[u], uslots[u].value)
-						}
-					}
-				}
-			}
-			if e.cache != nil {
-				for _, u := range leaders {
-					f := flights[u]
-					f.value, f.err = uslots[u].value, uslots[u].err
-					e.flightMu.Lock()
-					delete(e.inflight, keys[u])
-					e.flightMu.Unlock()
-					close(f.done)
-				}
-			}
+			e.runLeaders(ctx, &runJob{
+				ctx: ctx, items: leaders, sites: unique,
+				keys: keys, flights: flights, slots: uslots,
+			})
 		}
 
-		// Collect the followed flights. A flight that ends with its
-		// leader's context error while this batch is still live goes
-		// back to pending and is recomputed next round.
+		// Collect the followed flights; each wakes as soon as its own
+		// key is published. A flight that ends with its leader's
+		// context error while this batch is still live goes back to
+		// pending and is recomputed next round.
 		pending = pending[:0]
 		for _, u := range followers {
 			f := flights[u]
@@ -380,6 +473,29 @@ func (e *Engine) EvaluateBatchContext(ctx context.Context, batch [][]int) ([]flo
 		values[i], errs[i] = uslots[u].value, uslots[u].err
 	}
 	return values, errs
+}
+
+// runLeaders queues j and parks until every item is resolved. If ctx
+// is cancelled first, the unclaimed items are withdrawn and resolve
+// with ctx's error, and runLeaders waits only for the evaluations
+// already running. On a closed engine every item resolves with
+// ErrClosed.
+func (e *Engine) runLeaders(ctx context.Context, j *runJob) {
+	j.pending.Store(int64(len(j.items)))
+	j.done = make(chan struct{})
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if e.closed {
+		e.withdraw(j, ErrClosed)
+		return
+	}
+	e.enqueue(j)
+	select {
+	case <-j.done:
+	case <-ctx.Done():
+		e.withdraw(j, ctx.Err())
+		<-j.done
+	}
 }
 
 // Report returns the engine's cumulative counters.
@@ -413,8 +529,10 @@ func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
+	e.qmu.Lock()
 	e.closed = true
-	close(e.jobs)
+	e.qmu.Unlock()
+	e.qcond.Broadcast()
 	e.wg.Wait()
 }
 

@@ -251,13 +251,175 @@ func TestEvaluateBatchContextCancelUnblocks(t *testing.T) {
 			t.Fatalf("item %d: unexpected error %v", i, oc.errs[i])
 		}
 	}
-	if canceled == 0 {
-		t.Fatal("no item reported the cancellation")
+	// The two gated evaluations were in flight and finish; the 62
+	// queued items are withdrawn without reaching the evaluator.
+	if completed != 2 || canceled != len(batch)-2 {
+		t.Fatalf("completed %d, canceled %d; want 2 and %d", completed, canceled, len(batch)-2)
 	}
-	if total := inner.calls.Load(); total >= int64(len(batch)) {
-		t.Fatalf("all %d items were computed despite cancellation", total)
+	if total := inner.calls.Load(); total != 2 {
+		t.Fatalf("inner evaluator called %d times, want 2", total)
 	}
-	t.Logf("completed %d, canceled %d", completed, canceled)
+	if r := e.Report(); r.Computed != 2 {
+		t.Fatalf("Report().Computed = %d, want 2", r.Computed)
+	}
+}
+
+// orderEval records the order of its calls and blocks the first one
+// until release is closed.
+type orderEval struct {
+	release chan struct{}
+	mu      sync.Mutex
+	order   [][]int
+}
+
+func (o *orderEval) Evaluate(sites []int) (float64, error) {
+	o.mu.Lock()
+	o.order = append(o.order, sites)
+	first := len(o.order) == 1
+	o.mu.Unlock()
+	if first {
+		<-o.release
+	}
+	return float64(len(sites)), nil
+}
+
+func (o *orderEval) calls() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.order)
+}
+
+func TestEngineRoundRobinAcrossBatches(t *testing.T) {
+	inner := &orderEval{release: make(chan struct{})}
+	e, err := New(inner, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	// Batch A's 64 sets hold the only worker, its first set gated;
+	// batch B queues one set behind it. Round-robin claiming must
+	// reach B's set within the next claims, not after all of A.
+	a := make([][]int, 64)
+	for i := range a {
+		a[i] = []int{i, i + 100}
+	}
+	b := [][]int{{500, 600, 700}}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		e.EvaluateBatch(a)
+	}()
+	for inner.calls() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	go func() {
+		defer wg.Done()
+		e.EvaluateBatch(b)
+	}()
+	for queued := 0; queued < 2; {
+		time.Sleep(time.Millisecond)
+		e.qmu.Lock()
+		queued = len(e.queue)
+		e.qmu.Unlock()
+	}
+	close(inner.release)
+	wg.Wait()
+
+	pos := -1
+	for i, sites := range inner.order {
+		if len(sites) == 3 {
+			pos = i
+		}
+	}
+	if pos < 0 || pos >= 3 {
+		t.Fatalf("batch B's set was evaluation %d of %d, want among the first 3", pos+1, len(inner.order))
+	}
+}
+
+// keyGatedEval blocks each site set on its own gate (keyed by the
+// first site); sets without a gate return at once.
+type keyGatedEval struct {
+	gates map[int]chan struct{}
+	calls atomic.Int64
+}
+
+func (k *keyGatedEval) Evaluate(sites []int) (float64, error) {
+	k.calls.Add(1)
+	if g, ok := k.gates[sites[0]]; ok {
+		<-g
+	}
+	return float64(sites[0]), nil
+}
+
+func TestFollowerWakesWithItsKey(t *testing.T) {
+	x, y := []int{1, 2}, []int{3, 4}
+	inner := &keyGatedEval{gates: map[int]chan struct{}{
+		x[0]: make(chan struct{}),
+		y[0]: make(chan struct{}),
+	}}
+	e, err := New(inner, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	// Open any gate still closed on the way out, so a failing run
+	// does not leave Close waiting on a gated batch.
+	var released [2]sync.Once
+	release := func(g int, key int) { released[g].Do(func() { close(inner.gates[key]) }) }
+	defer release(0, x[0])
+	defer release(1, y[0])
+
+	// Batch A leads X and Y, both gated in flight on the two workers.
+	aDone := make(chan []error, 1)
+	go func() {
+		_, errs := e.EvaluateBatch([][]int{x, y})
+		aDone <- errs
+	}()
+	for inner.calls.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	// Batch B follows X. Releasing X alone must bring B home while Y
+	// (and with it batch A) is still gated.
+	type outcome struct {
+		v   float64
+		err error
+	}
+	bDone := make(chan outcome, 1)
+	go func() {
+		v, errs := e.EvaluateBatch([][]int{x})
+		bDone <- outcome{v[0], errs[0]}
+	}()
+	for e.joins.Load() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	release(0, x[0])
+	select {
+	case oc := <-bDone:
+		if oc.err != nil || oc.v != 1 {
+			t.Fatalf("follower of X: %v, %v; want 1, nil", oc.v, oc.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower of X did not return while Y was still gated")
+	}
+	select {
+	case <-aDone:
+		t.Fatal("batch A returned before Y was released")
+	default:
+	}
+	release(1, y[0])
+	for i, err := range <-aDone {
+		if err != nil {
+			t.Fatalf("batch A item %d: %v", i, err)
+		}
+	}
+	if got := inner.calls.Load(); got != 2 {
+		t.Fatalf("computed %d times, want 2 (B coalesced onto X)", got)
+	}
+	if r := e.Report(); r.Coalesced != 1 {
+		t.Fatalf("Report().Coalesced = %d, want 1", r.Coalesced)
+	}
 }
 
 func TestSingleflightCoalescesConcurrentBatches(t *testing.T) {
