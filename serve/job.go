@@ -3,73 +3,144 @@ package serve
 import (
 	"context"
 	"errors"
+	"strconv"
 	"sync"
 
 	"repro"
 )
 
-// runHandle is what jobEntry needs from a background run: the shape
-// of *repro.Job, also implemented by sweepHandle, so GA jobs and
-// sharded sweep jobs share the pump/SSE/stop/drain plumbing.
+// runHandle is the one seam between the registry and a job kind: a GA
+// run (gaHandle), a portfolio race (raceHandle) or a sharded window
+// sweep (sweepHandle). The registry launches, stops, drains, streams
+// and persists every kind through it without branching on the kind.
+// Stopping is the launch context's cancel; a handle only reports.
 type runHandle interface {
-	// Progress streams conflated TraceEntries and is closed after Done.
-	Progress() <-chan repro.TraceEntry
-	// Done is closed when the run ends (before Progress closes).
-	Done() <-chan struct{}
-	// Wait blocks for the outcome; a sweep's GAResult is always nil.
-	Wait() (*repro.GAResult, error)
-	// Stop cancels and waits.
-	Stop() (*repro.GAResult, error)
 	// Report snapshots live progress.
 	Report() repro.JobReport
+	// wait blocks until the run ends and returns its error: nil on
+	// success, wrapping repro.ErrCanceled after a stop or drain.
+	wait() error
+	// events drains the run's own stream, handing each update to emit
+	// as an SSE frame, and returns once the stream has ended — after
+	// the run has, so its outcome is readable.
+	events(emit func(frame))
+	// fill adds the kind's section to ji: Result for a GA run, Race for
+	// a race, Shards and Sweep for a sweep. The outcome parts are set
+	// once ji.State is no longer JobRunning.
+	fill(ji *JobInfo)
 }
 
-var _ runHandle = (*repro.Job)(nil)
-var _ runHandle = (*sweepHandle)(nil)
+var (
+	_ runHandle = gaHandle{}
+	_ runHandle = raceHandle{}
+	_ runHandle = (*sweepHandle)(nil)
+)
+
+// frame is one SSE event of a job's stream: the event name, its id
+// (empty for none) and the JSON payload.
+type frame struct {
+	event string
+	id    string
+	data  any
+}
+
+// generationFrame is the frame of one GA generation or sweep progress
+// step; its id is the generation (completed shards for a sweep).
+func generationFrame(e repro.TraceEntry) frame {
+	return frame{event: EventGeneration, id: strconv.Itoa(e.Generation), data: e}
+}
+
+// boardFrame is the frame of one race leaderboard; its id is the
+// board's sequence number.
+func boardFrame(b repro.RaceBoard) frame {
+	return frame{event: EventLeaderboard, id: strconv.FormatInt(b.Seq, 10), data: b}
+}
+
+// finalFrames is what a subscriber to a finished job — live or
+// restored — receives before done: a race's final leaderboard. GA and
+// sweep jobs end with done alone.
+func finalFrames(ji JobInfo) []frame {
+	if ji.Race != nil {
+		return []frame{boardFrame(ji.Race.Board)}
+	}
+	return nil
+}
+
+// gaHandle runs one GA job (repro.Session.Start).
+type gaHandle struct{ *repro.Job }
+
+func (h gaHandle) wait() error {
+	_, err := h.Wait()
+	return err
+}
+
+func (h gaHandle) events(emit func(frame)) {
+	for e := range h.Progress() {
+		emit(generationFrame(e))
+	}
+}
+
+func (h gaHandle) fill(ji *JobInfo) {
+	if ji.State != JobRunning {
+		ji.Result, _ = h.Wait() // partial after a stop
+	}
+}
+
+// startGA starts a GA job via Session.Start. Island options ride
+// along when requested; their validation errors (negative counts,
+// migration without islands) surface as ErrBadConfig → HTTP 400.
+func startGA(ctx context.Context, se *sessionEntry, _ string, req JobRequest) (runHandle, error) {
+	opts := []repro.Option{repro.WithGAConfig(req.Config)}
+	if req.Islands != 0 {
+		opts = append(opts, repro.WithIslands(req.Islands))
+	}
+	if req.MigrationInterval != 0 || req.MigrationCount != 0 {
+		opts = append(opts, repro.WithMigration(req.MigrationInterval, req.MigrationCount))
+	}
+	j, err := se.sess.Start(ctx, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return gaHandle{j}, nil
+}
 
 // jobEntry is the registry's record of one background run: the run
 // handle, its cancel function (DELETE and drain both go through the
-// context path), and the progress fan-out state.
+// context path), and the frame fan-out state.
 type jobEntry struct {
 	id        string
 	sessionID string
 	job       runHandle
-	sweep     *sweepHandle // non-nil for sweep jobs (same object as job)
-	race      *raceHandle  // non-nil for racing jobs (same object as job)
-	req       *JobRequest  // persisted with the record so restore can resume sweeps
+	req       *JobRequest // persisted with the record so restore can resume sweeps
 	cancel    context.CancelFunc
 	storeVer  int64 // job record's store version (guarded by Registry.mu)
+	// ended is closed by the pump once the run is over and its session
+	// slot is free; the job reports a terminal state only from then on.
+	ended chan struct{}
 
 	mu        sync.Mutex
-	subs      map[chan repro.TraceEntry]struct{}
-	latest    repro.TraceEntry
+	subs      map[chan frame]struct{}
+	latest    frame
 	hasLatest bool
-	finished  bool
 }
 
 // subscriberBuffer is each SSE subscriber's channel capacity. Like
-// Job.Progress, a full buffer conflates: the oldest entry is dropped
-// so a slow client misses old generations and never blocks anything.
+// Job.Progress, a full buffer conflates: the oldest frame is dropped
+// so a slow client misses old updates and never blocks anything.
 const subscriberBuffer = 16
 
-// pump drains the job's single Progress stream and fans each entry
-// out to every subscriber with per-subscriber conflation. It owns the
-// subscriber channels' close. Runs as one goroutine per job; exits
-// (and releases the registry's job WaitGroup count) when the run
-// ends.
+// pump drains the run's stream and fans each frame out to every
+// subscriber with per-subscriber conflation. When the run ends it
+// frees the session slot before closing the subscriber channels, so a
+// client that has seen done can start its next job at once. Runs as
+// one goroutine per job; exits (and releases the registry's job
+// WaitGroup count) once the outcome is persisted.
 func (je *jobEntry) pump(r *Registry) {
 	defer r.jobsWG.Done()
-	for e := range je.job.Progress() {
-		je.mu.Lock()
-		je.latest = e
-		je.hasLatest = true
-		for ch := range je.subs {
-			conflatedSend(ch, e)
-		}
-		je.mu.Unlock()
-	}
+	je.job.events(je.publish)
+	r.releaseSlot(je.sessionID)
+	close(je.ended)
 	je.mu.Lock()
-	je.finished = true
 	for ch := range je.subs {
 		close(ch)
 	}
@@ -80,52 +151,63 @@ func (je *jobEntry) pump(r *Registry) {
 	// a durable store serves after a restart, and what distinguishes
 	// a finished job from one interrupted by a crash.
 	r.persistJobFinal(je)
-	// The run's end is session activity: the idle-eviction clock must
-	// start from here, not from the request that launched the job.
-	r.touchSession(je.sessionID)
 }
 
-// hasSubscribers reports whether any progress stream is attached.
+// publish records f as the latest frame and hands it to every
+// subscriber.
+func (je *jobEntry) publish(f frame) {
+	je.mu.Lock()
+	je.latest = f
+	je.hasLatest = true
+	for ch := range je.subs {
+		conflatedSend(ch, f)
+	}
+	je.mu.Unlock()
+}
+
+// hasSubscribers reports whether any event stream is attached.
 func (je *jobEntry) hasSubscribers() bool {
 	je.mu.Lock()
 	defer je.mu.Unlock()
 	return len(je.subs) > 0
 }
 
-// conflatedSend delivers e to ch without ever blocking: when the
-// buffer is full the oldest entry is dropped to make room, exactly
-// like Job.publish.
-func conflatedSend(ch chan repro.TraceEntry, e repro.TraceEntry) {
+// conflatedSend delivers v to ch without ever blocking: when the
+// buffer is full the oldest value is dropped to make room, exactly
+// like Job.Progress.
+func conflatedSend[T any](ch chan T, v T) {
 	for {
 		select {
-		case ch <- e:
+		case ch <- v:
 			return
 		default:
 		}
 		select {
-		case <-ch: // conflate: drop the oldest buffered entry
+		case <-ch: // conflate: drop the oldest buffered value
 		default:
 		}
 	}
 }
 
-// subscribe registers a new conflated progress channel, pre-seeded
-// with the latest entry so a late joiner sees current state at once.
-// For a finished job it returns an already-closed channel. off
-// detaches (idempotent; pump may concurrently close the channel).
-func (je *jobEntry) subscribe() (<-chan repro.TraceEntry, func(), error) {
-	ch := make(chan repro.TraceEntry, subscriberBuffer)
+// subscribe registers a new conflated frame channel, pre-seeded with
+// the latest frame so a late joiner sees current state at once. It
+// returns a nil channel once the run has ended (the caller serves
+// finalFrames instead). off detaches (idempotent; pump may
+// concurrently close the channel).
+func (je *jobEntry) subscribe() (<-chan frame, func()) {
 	je.mu.Lock()
 	defer je.mu.Unlock()
-	if je.finished {
-		close(ch)
-		return ch, func() {}, nil
+	select {
+	case <-je.ended:
+		return nil, nil
+	default:
 	}
+	ch := make(chan frame, subscriberBuffer)
 	if je.hasLatest {
 		ch <- je.latest
 	}
 	if je.subs == nil {
-		je.subs = make(map[chan repro.TraceEntry]struct{})
+		je.subs = make(map[chan frame]struct{})
 	}
 	je.subs[ch] = struct{}{}
 	off := func() {
@@ -136,7 +218,7 @@ func (je *jobEntry) subscribe() (<-chan repro.TraceEntry, func(), error) {
 			close(ch)
 		}
 	}
-	return ch, off, nil
+	return ch, off
 }
 
 // info assembles the job's wire status from the live run handle.
@@ -147,31 +229,21 @@ func (je *jobEntry) info() JobInfo {
 		State:     JobRunning,
 		Report:    je.job.Report(),
 	}
-	if je.sweep != nil {
-		ji.Shards = je.sweep.shardProgress()
-	}
-	if je.race != nil {
-		ji.Race = je.race.raceInfo()
-	}
 	select {
-	case <-je.job.Done():
+	case <-je.ended:
+		err := je.job.wait() // ended: returns immediately
+		switch {
+		case err == nil:
+			ji.State = JobDone
+		case errors.Is(err, repro.ErrCanceled):
+			ji.State = JobCanceled
+			ji.Error = err.Error()
+		default:
+			ji.State = JobFailed
+			ji.Error = err.Error()
+		}
 	default:
-		return ji
 	}
-	res, err := je.job.Wait() // done: returns immediately
-	ji.Result = res
-	if je.sweep != nil {
-		ji.Sweep = je.sweep.result()
-	}
-	switch {
-	case err == nil:
-		ji.State = JobDone
-	case errors.Is(err, repro.ErrCanceled):
-		ji.State = JobCanceled
-		ji.Error = err.Error()
-	default:
-		ji.State = JobFailed
-		ji.Error = err.Error()
-	}
+	je.job.fill(&ji)
 	return ji
 }

@@ -353,3 +353,33 @@ func TestRegistryUseStoreRequiresFresh(t *testing.T) {
 		t.Fatalf("UseStore on a used registry err = %v, want ErrBadConfig", err)
 	}
 }
+
+// keepOpen is a Store whose Close keeps the records, so a second
+// registry can restore exactly what the first one persisted.
+type keepOpen struct{ serve.Store }
+
+func (keepOpen) Close() error { return nil }
+
+// TestServeRestoredRaceLateSubscriber: a race restored from the store
+// streams like a finished live one — its persisted final leaderboard,
+// then done with the race outcome.
+func TestServeRestoredRaceLateSubscriber(t *testing.T) {
+	st := serve.NewMemStore()
+	client, reg := newTestServer(t, serve.RegistryConfig{}, serve.WithStore(keepOpen{st}))
+	ctx := context.Background()
+	sess := raceSetup(t, client)
+	job, err := client.StartJob(ctx, sess.ID, serve.JobRequest{
+		Config: testGAConfig(4),
+		Race:   &repro.RaceSpec{Lanes: []repro.RaceLaneSpec{{Optimizer: "stpga"}}, SubsetSize: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.StreamEvents(ctx, job.ID, nil); err != nil {
+		t.Fatal(err)
+	}
+	reg.Close() // waits for the final record
+
+	client2, _ := newTestServer(t, serve.RegistryConfig{}, serve.WithStore(keepOpen{st}))
+	checkFinishedRaceStream(t, client2, job.ID)
+}

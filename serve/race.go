@@ -1,163 +1,54 @@
 package serve
 
 import (
-	"sync"
-	"time"
+	"context"
+	"fmt"
 
 	"repro"
 )
 
-// raceHandle runs one racing job (repro.Session.Race) behind the same
-// handle shape as a GA job, so the jobEntry plumbing — pump, stop,
-// drain, persistence — serves races without branching. Alongside the
-// runHandle shape it fans the race's conflated leaderboard stream out
-// to SSE subscribers (EventLeaderboard frames); the TraceEntry
-// progress stream is synthesized from the boards (Generation carries
-// the board sequence number, Evaluations the race's running total) so
-// the drain-to-close guarantee and the idle-eviction hooks of the
-// shared pump keep working.
-type raceHandle struct {
-	started  time.Time
-	rj       *repro.RaceJob
-	progress chan repro.TraceEntry
+// raceHandle runs one racing job (repro.Session.Race). Its stream is
+// the race's conflated leaderboard, one EventLeaderboard frame per
+// board; its outcome is the RaceResult, surfaced as JobInfo.Race.
+type raceHandle struct{ *repro.RaceJob }
 
-	mu       sync.Mutex
-	board    repro.RaceBoard
-	hasBoard bool
-	subs     map[chan repro.RaceBoard]struct{}
-	finished bool
+func (h raceHandle) wait() error {
+	_, err := h.Wait()
+	return err
 }
 
-// startRace wraps a launched race in its handle and starts the board
-// pump.
-func startRace(rj *repro.RaceJob) *raceHandle {
-	h := &raceHandle{
-		started:  time.Now(),
-		rj:       rj,
-		progress: make(chan repro.TraceEntry, subscriberBuffer),
+func (h raceHandle) events(emit func(frame)) {
+	for b := range h.Board() {
+		emit(boardFrame(b))
 	}
-	go h.run()
-	return h
+	<-h.Done() // the result is readable before the stream ends
 }
 
-// run drains the race's Board stream, keeping the latest snapshot and
-// fanning each board out to every subscriber with per-subscriber
-// conflation (the same policy as TraceEntry fan-out).
-func (h *raceHandle) run() {
-	for b := range h.rj.Board() {
-		h.mu.Lock()
-		h.board = b
-		h.hasBoard = true
-		for ch := range h.subs {
-			conflatedBoardSend(ch, b)
-		}
-		h.mu.Unlock()
-		conflatedSend(h.progress, repro.TraceEntry{
-			Generation:  int(b.Seq),
-			Evaluations: b.TotalEvaluations,
-		})
-	}
-	<-h.rj.Done() // result is readable before the streams end
-	h.mu.Lock()
-	h.finished = true
-	for ch := range h.subs {
-		close(ch)
-	}
-	h.subs = nil
-	h.mu.Unlock()
-	close(h.progress)
-}
-
-// conflatedBoardSend delivers b to ch without ever blocking: a full
-// buffer drops the oldest board, so a slow subscriber misses old
-// leaderboards, never new ones.
-func conflatedBoardSend(ch chan repro.RaceBoard, b repro.RaceBoard) {
-	for {
-		select {
-		case ch <- b:
-			return
-		default:
-		}
-		select {
-		case <-ch:
-		default:
-		}
+// fill sets the race section: the current leaderboard, plus the final
+// result once the race has ended (partial for a stopped race — cut
+// lanes keep their best-so-far).
+func (h raceHandle) fill(ji *JobInfo) {
+	ji.Race = &RaceInfo{Board: h.Snapshot()}
+	if ji.State != JobRunning {
+		ji.Race.Result, _ = h.Wait()
 	}
 }
 
-// subscribeBoard registers a conflated leaderboard channel, pre-seeded
-// with the latest board so a late joiner sees current standings at
-// once. For a finished race the channel carries the final board (its
-// Finished flag set) and is already closed, so even a subscriber that
-// arrives after the race ends receives one leaderboard frame. off
-// detaches (idempotent).
-func (h *raceHandle) subscribeBoard() (<-chan repro.RaceBoard, func()) {
-	ch := make(chan repro.RaceBoard, subscriberBuffer)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.finished {
-		if h.hasBoard {
-			ch <- h.board
-		}
-		close(ch)
-		return ch, func() {}
+// startRace validates a racing request and launches it via
+// Session.Race. The wire's standard config field configures the GA
+// lanes when the spec carries none of its own.
+func startRace(ctx context.Context, se *sessionEntry, _ string, req JobRequest) (runHandle, error) {
+	if req.Sweep != nil || req.Islands != 0 || req.MigrationInterval != 0 || req.MigrationCount != 0 {
+		return nil, fmt.Errorf("%w: racing jobs run their own lanes; sweep, island and migration options do not apply", repro.ErrBadConfig)
 	}
-	if h.hasBoard {
-		ch <- h.board
+	spec := *req.Race
+	if spec.Config == nil {
+		cfg := req.Config
+		spec.Config = &cfg
 	}
-	if h.subs == nil {
-		h.subs = make(map[chan repro.RaceBoard]struct{})
+	rj, err := se.sess.Race(ctx, spec)
+	if err != nil {
+		return nil, err
 	}
-	h.subs[ch] = struct{}{}
-	off := func() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		if _, ok := h.subs[ch]; ok {
-			delete(h.subs, ch)
-			close(ch)
-		}
-	}
-	return ch, off
+	return raceHandle{rj}, nil
 }
-
-// raceInfo assembles the job's race section: the current leaderboard,
-// plus the final result once the race has ended (partial for a
-// stopped race — cut lanes keep their best-so-far).
-func (h *raceHandle) raceInfo() *RaceInfo {
-	ri := &RaceInfo{Board: h.rj.Snapshot()}
-	select {
-	case <-h.rj.Done():
-		res, _ := h.rj.Wait()
-		ri.Result = res
-	default:
-	}
-	return ri
-}
-
-// Progress implements runHandle; entries are synthesized board
-// heartbeats (see the type comment).
-func (h *raceHandle) Progress() <-chan repro.TraceEntry { return h.progress }
-
-// Done implements runHandle.
-func (h *raceHandle) Done() <-chan struct{} { return h.rj.Done() }
-
-// Wait implements runHandle. A race produces no GAResult — its
-// outcome is the RaceResult, surfaced by jobEntry.info as
-// JobInfo.Race.
-func (h *raceHandle) Wait() (*repro.GAResult, error) {
-	_, err := h.rj.Wait()
-	return nil, err
-}
-
-// Stop implements runHandle: cancel every lane and wait. The partial
-// leaderboard (best-so-far per lane) stays readable via raceInfo.
-func (h *raceHandle) Stop() (*repro.GAResult, error) {
-	_, err := h.rj.Stop()
-	return nil, err
-}
-
-// Report implements runHandle: the race's JobReport (total
-// evaluations across lanes, aggregated engine counters).
-func (h *raceHandle) Report() repro.JobReport { return h.rj.Report() }
-
-var _ runHandle = (*raceHandle)(nil)

@@ -152,14 +152,16 @@ func TestServeRaceDeleteReturnsPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let the lanes record some progress before the stop.
+	// Let the lanes record some progress before the stop — every lane,
+	// not only the race in total: the AA lane's first evaluations can
+	// trail the T1 lane's first 50.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		ji, err := client.Job(ctx, job.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ji.Race != nil && ji.Race.Board.TotalEvaluations >= 50 {
+		if ji.Race != nil && ji.Race.Board.TotalEvaluations >= 50 && everyLaneHasBest(ji.Race.Board) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -182,6 +184,17 @@ func TestServeRaceDeleteReturnsPartial(t *testing.T) {
 			t.Fatalf("canceled lane %q lost its partial best", ln.Name)
 		}
 	}
+}
+
+// everyLaneHasBest reports whether every lane on the board has
+// recorded a best haplotype.
+func everyLaneHasBest(b repro.RaceBoard) bool {
+	for _, ln := range b.Lanes {
+		if len(ln.BestSites) == 0 {
+			return false
+		}
+	}
+	return len(b.Lanes) > 0
 }
 
 // TestServeRaceBadRequests: option conflicts and unknown lane names

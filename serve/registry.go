@@ -16,7 +16,6 @@ import (
 
 	"repro"
 	"repro/internal/cli"
-	"repro/internal/shard"
 )
 
 // RegistryConfig tunes the lifecycle policies of a Registry. The zero
@@ -30,8 +29,9 @@ type RegistryConfig struct {
 	// backends, releasing the memoized fitness caches — after this
 	// long without a session referencing it. Default 1h.
 	DatasetTTL time.Duration
-	// MaxJobsPerSession caps concurrently running jobs per session
-	// (repro.WithJobLimit); exceeding it yields HTTP 429. Default 4.
+	// MaxJobsPerSession caps concurrently running jobs per session,
+	// counting every kind (GA runs, races and sweeps) in one slot
+	// count; exceeding it yields HTTP 429. Default 4.
 	MaxJobsPerSession int
 	// SweepInterval is the janitor period for idle eviction. Default
 	// 30s — a sweep pass holds the registry lock only for in-memory
@@ -121,7 +121,7 @@ type sessionEntry struct {
 	sess      *repro.Session
 	backend   string
 	statistic string
-	maxJobs   int
+	active    int                  // job slots held: launching or running jobs (see launch)
 	shardSize int                  // effective columns per shard; 0 = monolithic
 	sharded   *repro.ShardedEngine // the shared backend, when sharded (sweep jobs need it)
 	jobIDs    []string
@@ -204,30 +204,43 @@ func (r *Registry) UseStore(st Store) error {
 		return fmt.Errorf("%w: nil store", repro.ErrBadConfig)
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if err := r.usable(); err != nil {
+		r.mu.Unlock()
 		return err
 	}
 	if len(r.datasets)+len(r.sessions)+len(r.jobs)+len(r.archive) > 0 {
+		r.mu.Unlock()
 		return fmt.Errorf("%w: UseStore requires a fresh registry", repro.ErrBadConfig)
 	}
 	r.store = st
-	return r.restoreLocked() //ldvet:allow mutexio: restore runs before the registry serves any traffic; nothing contends yet
+	resumes, err := r.restoreLocked() //ldvet:allow mutexio: restore runs before the registry serves any traffic; nothing contends yet
+	r.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	for _, sj := range resumes {
+		if err := r.resume(sj.rec, sj.jr); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // restoreLocked rebuilds the in-memory state from the store, in
-// dependency order: datasets, then sessions, then jobs.
-func (r *Registry) restoreLocked() error {
+// dependency order: datasets, then sessions, then jobs. It returns the
+// records of resumable jobs the previous process was still running;
+// the caller relaunches them once the lock is released.
+func (r *Registry) restoreLocked() ([]storedJob, error) {
 	now := time.Now()
 
 	dsRecs, err := r.store.List(KindDataset)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, rec := range dsRecs {
 		var dr datasetRecord
 		if err := json.Unmarshal(rec.Data, &dr); err != nil {
-			return fmt.Errorf("serve: restore: dataset %s: %w", rec.ID, err)
+			return nil, fmt.Errorf("serve: restore: dataset %s: %w", rec.ID, err)
 		}
 		data, err := buildDataset(dr.Request)
 		if err != nil || datasetID(data) != rec.ID {
@@ -248,12 +261,12 @@ func (r *Registry) restoreLocked() error {
 
 	sessRecs, err := r.store.List(KindSession)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, rec := range sessRecs {
 		var sr sessionRecord
 		if err := json.Unmarshal(rec.Data, &sr); err != nil {
-			return fmt.Errorf("serve: restore: session %s: %w", rec.ID, err)
+			return nil, fmt.Errorf("serve: restore: session %s: %w", rec.ID, err)
 		}
 		if n, ok := seqOf(rec.ID, "s-"); ok && n > r.sessSeq {
 			r.sessSeq = n
@@ -265,89 +278,94 @@ func (r *Registry) restoreLocked() error {
 		}
 		se, err := r.addSessionLocked(rec.ID, sr.Request, de)
 		if err != nil {
-			return fmt.Errorf("serve: restore: session %s: %w", rec.ID, err)
+			return nil, fmt.Errorf("serve: restore: session %s: %w", rec.ID, err)
 		}
 		se.ver = rec.Version
 	}
 
 	jobRecs, err := r.store.List(KindJob)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	var resumes []storedJob
 	for _, rec := range jobRecs {
 		var jr jobRecord
 		if err := json.Unmarshal(rec.Data, &jr); err != nil {
-			return fmt.Errorf("serve: restore: job %s: %w", rec.ID, err)
+			return nil, fmt.Errorf("serve: restore: job %s: %w", rec.ID, err)
 		}
-		info := jr.JobInfo
 		if n, ok := seqOf(rec.ID, "j-"); ok && n > r.jobSeq {
 			r.jobSeq = n
 		}
-		se, ok := r.sessions[info.SessionID]
+		se, ok := r.sessions[jr.SessionID]
 		if !ok {
 			r.deleteRecord(KindJob, rec.ID) // session gone: orphan
 			r.deleteRecord(KindCheckpoint, rec.ID)
 			continue
 		}
-		if info.State == JobRunning {
-			// The previous process died mid-run. A sweep job whose
-			// session came back sharded is restartable work, not a lost
-			// result: relaunch it under its original id — its storeSink
+		if jr.State == JobRunning {
+			// The previous process died mid-run. A resumable kind (a
+			// sweep) is restartable work, not a lost result: relaunch it
+			// under its original id once the lock drops — its storeSink
 			// loads the checkpoint and skips every completed shard.
-			if jr.Request != nil && jr.Request.Sweep != nil && se.sharded != nil {
-				if je, err := r.resumeSweepLocked(rec.ID, rec.Version, se, *jr.Request); err == nil {
-					r.jobs[rec.ID] = je
-					se.jobIDs = append(se.jobIDs, rec.ID)
+			if jr.Request != nil {
+				if _, resumable := r.kindOf(*jr.Request); resumable {
+					resumes = append(resumes, storedJob{rec, jr})
 					continue
 				}
 			}
-			// Anything else never persisted a result: mark the record
-			// so clients see what happened.
-			info.State = JobInterrupted
-			info.Error = "job interrupted by server restart before completion; resubmit to recompute"
-			info.Report.Running = false
-			b, err := json.Marshal(jobRecord{JobInfo: info, Request: jr.Request})
+			aj, err := r.markInterrupted(rec, jr)
 			if err != nil {
-				return fmt.Errorf("serve: restore: job %s: %w", rec.ID, err)
+				return nil, err
 			}
-			stored, err := r.store.Put(KindJob, Record{ID: rec.ID, Version: rec.Version, Data: b})
-			if err != nil {
-				return fmt.Errorf("serve: restore: job %s: %w", rec.ID, err)
-			}
-			rec.Version = stored.Version
+			r.archive[rec.ID] = aj
+		} else {
+			r.archive[rec.ID] = &archivedJob{info: jr.JobInfo, ver: rec.Version}
 		}
-		r.archive[rec.ID] = &archivedJob{info: info, ver: rec.Version}
+		se.jobIDs = append(se.jobIDs, rec.ID)
+	}
+	return resumes, nil
+}
+
+// markInterrupted rewrites the record of a job the previous process
+// never finished — and that never persisted a result — as
+// JobInterrupted, so clients see what happened.
+func (r *Registry) markInterrupted(rec Record, jr jobRecord) (*archivedJob, error) {
+	info := jr.JobInfo
+	info.State = JobInterrupted
+	info.Error = "job interrupted by server restart before completion; resubmit to recompute"
+	info.Report.Running = false
+	ver, err := r.putRecord(KindJob, rec.ID, rec.Version, jobRecord{JobInfo: info, Request: jr.Request})
+	if err != nil {
+		return nil, fmt.Errorf("serve: restore: job %s: %w", rec.ID, err)
+	}
+	return &archivedJob{info: info, ver: ver}, nil
+}
+
+// storedJob is one job record read back from the store.
+type storedJob struct {
+	rec Record
+	jr  jobRecord
+}
+
+// resume relaunches a restored job record under its original id and
+// store version, without a limit check. A job that cannot restart
+// (its request no longer validates) is marked interrupted instead.
+func (r *Registry) resume(rec Record, jr jobRecord) error {
+	start, _ := r.kindOf(*jr.Request)
+	if _, err := r.launch(jr.SessionID, rec.ID, rec.Version, *jr.Request, start); err == nil {
+		return nil
+	}
+	aj, err := r.markInterrupted(rec, jr)
+	if err != nil {
+		return err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.archive[rec.ID] = aj
+	if se, ok := r.sessions[jr.SessionID]; ok {
 		se.jobIDs = append(se.jobIDs, rec.ID)
 	}
 	return nil
-}
-
-// resumeSweepLocked relaunches a restored sweep job under its original
-// id, resuming from its checkpoint record. The caller registers the
-// returned entry.
-func (r *Registry) resumeSweepLocked(id string, ver int64, se *sessionEntry, req JobRequest) (*jobEntry, error) {
-	cfg := shard.SweepConfig{Size: req.Sweep.Size, Stride: req.Sweep.Stride}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	var sink shard.Sink = shard.DiscardSink{}
-	if !r.storeDiscards() {
-		sink = newStoreSink(r.store, id)
-	}
-	ctx, cancel := context.WithCancel(context.Background()) //ldvet:allow ctxflow: a resumed sweep outlives any request; the registry cancels it via drain
-	h := startSweep(ctx, cancel, se.sharded, cfg, sink)
-	je := &jobEntry{
-		id:        id,
-		sessionID: se.id,
-		job:       h,
-		sweep:     h,
-		req:       &req,
-		cancel:    cancel,
-		storeVer:  ver,
-	}
-	r.jobsWG.Add(1)
-	go je.pump(r)
-	return je, nil
 }
 
 // spillDirFor is the per-dataset shard spill directory ("" when the
@@ -357,25 +375,6 @@ func (r *Registry) spillDirFor(datasetID string) string {
 		return ""
 	}
 	return filepath.Join(r.cfg.SpillDir, datasetID)
-}
-
-// liveSweepsLocked counts the session's sweep jobs still running.
-// Sweeps bypass Session.Start, so the session's own ActiveJobs misses
-// them; the job limit and idle eviction must add this count.
-func (r *Registry) liveSweepsLocked(se *sessionEntry) int {
-	n := 0
-	for _, jid := range se.jobIDs {
-		je, ok := r.jobs[jid]
-		if !ok || je.sweep == nil {
-			continue
-		}
-		select {
-		case <-je.job.Done():
-		default:
-			n++
-		}
-	}
-	return n
 }
 
 // seqOf parses the numeric suffix of a "s-12" / "j-7" style id.
@@ -593,8 +592,7 @@ func (r *Registry) addSessionLocked(id string, req SessionRequest, de *datasetEn
 	}
 	sess, err := repro.NewSession(de.data,
 		repro.WithEvaluator(ev),
-		repro.WithStatistic(stat),
-		repro.WithJobLimit(r.cfg.MaxJobsPerSession))
+		repro.WithStatistic(stat))
 	if err != nil {
 		return nil, err
 	}
@@ -604,7 +602,6 @@ func (r *Registry) addSessionLocked(id string, req SessionRequest, de *datasetEn
 		sess:      sess,
 		backend:   cli.BackendName(be),
 		statistic: cli.StatisticName(stat),
-		maxJobs:   r.cfg.MaxJobsPerSession,
 		lastUsed:  time.Now(),
 	}
 	if eng, ok := ev.(*repro.ShardedEngine); ok && req.ShardSize > 0 {
@@ -633,8 +630,8 @@ func (r *Registry) sessionInfoLocked(se *sessionEntry) SessionInfo {
 		Backend:    se.backend,
 		Workers:    se.sess.Workers(),
 		Statistic:  se.statistic,
-		MaxJobs:    se.maxJobs,
-		ActiveJobs: se.sess.ActiveJobs() + r.liveSweepsLocked(se),
+		MaxJobs:    r.cfg.MaxJobsPerSession,
+		ActiveJobs: se.active,
 		ShardSize:  se.shardSize,
 	}
 }
@@ -707,13 +704,54 @@ func (r *Registry) EngineTotals() EngineTotals {
 	return t
 }
 
-// StartJob launches one background GA run on the session via
-// Session.Start. The per-session job limit is enforced by the session
-// itself (repro.ErrSessionBusy → HTTP 429). The job record is
+// StartJob launches one background job of the kind the request names
+// — a GA run, a race (req.Race) or a sharded sweep (req.Sweep) — on
+// the session. The per-session job limit counts every kind; exceeding
+// it yields repro.ErrSessionBusy → HTTP 429. The job record is
 // persisted in state "running" before the creation is acknowledged,
 // and re-persisted with the outcome when the run ends — which is how
 // a restart can tell finished jobs from interrupted ones.
 func (r *Registry) StartJob(sessionID string, req JobRequest) (JobInfo, error) {
+	start, _ := r.kindOf(req)
+	return r.launch(sessionID, "", 0, req, start)
+}
+
+// startFunc validates a request for one job kind and starts the run
+// under ctx, which the registry cancels on DELETE and drain. id is the
+// job's id (a sweep keys its checkpoints by it).
+type startFunc func(ctx context.Context, se *sessionEntry, id string, req JobRequest) (runHandle, error)
+
+// kindOf maps a request to its kind's start function, and reports
+// whether restore may resume the kind after a crash (only sweeps
+// checkpoint their progress). It is the one place that reads
+// req.Race and req.Sweep to pick a kind.
+func (r *Registry) kindOf(req JobRequest) (start startFunc, resumable bool) {
+	switch {
+	case req.Race != nil:
+		return startRace, false
+	case req.Sweep != nil:
+		return r.startSweep, true
+	}
+	return startGA, false
+}
+
+// launch is the one way a job starts, for every kind and for a job
+// restore resumes. In order it:
+//
+//  1. takes the id and a session slot under r.mu — a new job (id "")
+//     gets the next id after the limit check, a resumed one keeps its
+//     id and skips the check;
+//  2. starts the kind outside the lock (validation and the session's
+//     own lock);
+//  3. persists the record in state "running" at version ver, outside
+//     the lock so the (possibly fsync'd) write never stalls readers;
+//  4. re-checks usable() — a drain or Close that began meanwhile has
+//     already snapshotted r.jobs — registers the job and starts its
+//     pump.
+//
+// A failed start just gives the slot back. A failure after it stops
+// the run and deletes the job's record and checkpoint record.
+func (r *Registry) launch(sessionID, id string, ver int64, req JobRequest, start startFunc) (JobInfo, error) {
 	r.mu.Lock()
 	if err := r.usable(); err != nil {
 		r.mu.Unlock()
@@ -724,213 +762,65 @@ func (r *Registry) StartJob(sessionID string, req JobRequest) (JobInfo, error) {
 		r.mu.Unlock()
 		return JobInfo{}, err
 	}
-	if req.Race != nil {
-		if req.Sweep != nil || req.Islands != 0 || req.MigrationInterval != 0 || req.MigrationCount != 0 {
+	if id == "" {
+		if se.active >= r.cfg.MaxJobsPerSession {
 			r.mu.Unlock()
-			return JobInfo{}, fmt.Errorf("%w: racing jobs run their own lanes; sweep, island and migration options do not apply", repro.ErrBadConfig)
+			return JobInfo{}, fmt.Errorf("%w: session %s already runs %d jobs (limit %d)", repro.ErrSessionBusy, se.id, se.active, r.cfg.MaxJobsPerSession)
 		}
 		r.jobSeq++
-		id := fmt.Sprintf("j-%d", r.jobSeq)
-		r.mu.Unlock()
-		return r.launchRace(se, id, req)
+		id = fmt.Sprintf("j-%d", r.jobSeq)
 	}
-	if req.Sweep != nil {
-		info, err := r.startSweepLocked(se, req) //ldvet:allow mutexio: sweep starts are rare; the lock makes the job-limit check and visibility atomic (see startSweepLocked)
-		r.mu.Unlock()
-		return info, err
-	}
-	r.jobSeq++
-	id := fmt.Sprintf("j-%d", r.jobSeq)
+	se.active++
 	r.mu.Unlock()
 
-	// Start outside the registry lock: it validates the config and
-	// may briefly contend on the session's own lock. Island options
-	// ride along when requested; their validation errors (negative
-	// counts, migration without islands) surface here as ErrBadConfig
-	// → HTTP 400.
-	opts := []repro.Option{repro.WithGAConfig(req.Config)}
-	if req.Islands != 0 {
-		opts = append(opts, repro.WithIslands(req.Islands))
-	}
-	if req.MigrationInterval != 0 || req.MigrationCount != 0 {
-		opts = append(opts, repro.WithMigration(req.MigrationInterval, req.MigrationCount))
-	}
-	ctx, cancel := context.WithCancel(context.Background()) //ldvet:allow ctxflow: a background job outlives the creating request; DELETE and drain cancel it
-	job, err := se.sess.Start(ctx, opts...)
+	ctx, cancel := context.WithCancel(context.Background()) //ldvet:allow ctxflow: a job outlives the request that starts it; DELETE and drain cancel it
+	h, err := start(ctx, se, id, req)
 	if err != nil {
 		cancel()
+		r.releaseSlot(se.id)
 		return JobInfo{}, err
 	}
-	je := &jobEntry{
-		id:        id,
-		sessionID: sessionID,
-		job:       job,
-		req:       &req,
-		cancel:    cancel,
-	}
-	// Persist the record in state "running" before the job becomes
-	// visible, keeping the (possibly fsync'd) write outside the
-	// registry lock so it never stalls concurrent readers.
-	info := je.info()
-	ver, err := r.putRecord(KindJob, id, 0, jobRecord{JobInfo: info, Request: &req})
-	if err != nil {
-		job.Stop()
-		return JobInfo{}, fmt.Errorf("serve: persist job: %w", err)
-	}
-	je.storeVer = ver
-	r.mu.Lock()
-	// Re-check after re-acquiring the lock: a drain (or Close) that
-	// began while Start ran has already snapshotted r.jobs — and
-	// Close may already be waiting on jobsWG — so this job must not
-	// register; stop it, take its record back out, and reject.
-	if err := r.usable(); err != nil {
-		r.mu.Unlock()
-		job.Stop()
-		r.deleteRecord(KindJob, id)
-		return JobInfo{}, err
-	}
-	r.jobs[id] = je
-	se.jobIDs = append(se.jobIDs, id)
-	r.jobsWG.Add(1)
-	r.mu.Unlock()
-	go je.pump(r)
-	return info, nil
-}
-
-// launchRace starts a racing job (repro.Session.Race) under the
-// allocated id, following the GA path's locking discipline: the
-// launch, which validates the spec and contends on the session lock,
-// and the fsync'd record write both run outside the registry lock.
-// The race claims one of the session's job slots itself, so the
-// per-session limit surfaces here as repro.ErrSessionBusy → HTTP 429.
-func (r *Registry) launchRace(se *sessionEntry, id string, req JobRequest) (JobInfo, error) {
-	spec := *req.Race
-	if spec.Config == nil {
-		// The wire's standard config field configures the GA lanes
-		// when the spec carries none of its own.
-		cfg := req.Config
-		spec.Config = &cfg
-	}
-	ctx, cancel := context.WithCancel(context.Background()) //ldvet:allow ctxflow: a background race outlives the creating request; DELETE and drain cancel it
-	rj, err := se.sess.Race(ctx, spec)
-	if err != nil {
-		cancel()
-		return JobInfo{}, err
-	}
-	h := startRace(rj)
 	je := &jobEntry{
 		id:        id,
 		sessionID: se.id,
 		job:       h,
-		race:      h,
 		req:       &req,
 		cancel:    cancel,
+		ended:     make(chan struct{}),
 	}
 	info := je.info()
-	ver, err := r.putRecord(KindJob, id, 0, jobRecord{JobInfo: info, Request: &req})
+	je.storeVer, err = r.putRecord(KindJob, id, ver, jobRecord{JobInfo: info, Request: &req})
 	if err != nil {
-		h.Stop()
-		return JobInfo{}, fmt.Errorf("serve: persist job: %w", err)
-	}
-	je.storeVer = ver
-	r.mu.Lock()
-	if err := r.usable(); err != nil {
-		r.mu.Unlock()
-		h.Stop()
-		r.deleteRecord(KindJob, id)
-		return JobInfo{}, err
-	}
-	r.jobs[id] = je
-	se.jobIDs = append(se.jobIDs, id)
-	r.jobsWG.Add(1)
-	r.mu.Unlock()
-	go je.pump(r)
-	return info, nil
-}
-
-// SubscribeBoard attaches a conflated leaderboard stream to a racing
-// job, with the same semantics as Subscribe (latest board first, a
-// slow reader misses old boards, closed when the race ends). A
-// finished or restored race yields one frame — the final board — and
-// an immediate close, so every subscriber sees at least one
-// leaderboard. The third result is false — with no channel — when the
-// job exists but is not a race.
-func (r *Registry) SubscribeBoard(jobID string) (<-chan repro.RaceBoard, func(), bool, error) {
-	je, aj, err := r.jobRef(jobID)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	if aj != nil {
-		if aj.info.Race == nil {
-			return nil, nil, false, nil
+		err = fmt.Errorf("serve: persist job: %w", err)
+	} else {
+		r.mu.Lock()
+		if err = r.usable(); err == nil {
+			r.jobs[id] = je
+			se.jobIDs = append(se.jobIDs, id)
+			r.jobsWG.Add(1)
+			r.mu.Unlock()
+			go je.pump(r)
+			return info, nil
 		}
-		// Archived race: one frame carrying the persisted final board,
-		// then the close — the same shape a live-but-finished race
-		// hands a late subscriber.
-		closed := make(chan repro.RaceBoard, 1)
-		closed <- aj.info.Race.Board
-		close(closed)
-		return closed, func() {}, true, nil
+		r.mu.Unlock()
 	}
-	if je.race == nil {
-		return nil, nil, false, nil
-	}
-	ch, off := je.race.subscribeBoard()
-	return ch, func() {
-		off()
-		r.touchSession(je.sessionID)
-	}, true, nil
+	cancel()
+	h.wait()
+	r.releaseSlot(se.id)
+	r.deleteRecord(KindJob, id)
+	r.deleteRecord(KindCheckpoint, id)
+	return JobInfo{}, err
 }
 
-// startSweepLocked launches a sharded window sweep as a job on the
-// session's ShardedEngine. Unlike GA jobs this runs entirely under the
-// registry lock — sweep starts are rare, and the lock is what makes
-// the job-limit check and the job's visibility atomic (the same
-// precedent as AddDataset's under-lock Put). Sweeps bypass
-// Session.Start, so the per-session job limit is enforced here.
-func (r *Registry) startSweepLocked(se *sessionEntry, req JobRequest) (JobInfo, error) {
-	if req.Islands != 0 || req.MigrationInterval != 0 || req.MigrationCount != 0 {
-		return JobInfo{}, fmt.Errorf("%w: sweep jobs run no GA; island and migration options do not apply", repro.ErrBadConfig)
+// releaseSlot returns a job slot taken by launch. The run's end is
+// session activity, so it also restarts the idle-eviction clock.
+func (r *Registry) releaseSlot(sessionID string) {
+	r.mu.Lock()
+	if se, ok := r.sessions[sessionID]; ok {
+		se.active--
+		se.lastUsed = time.Now()
 	}
-	if se.sharded == nil {
-		return JobInfo{}, fmt.Errorf("%w: sweep jobs require a sharded session (create it with shard_size >= 1)", repro.ErrBadConfig)
-	}
-	cfg := shard.SweepConfig{Size: req.Sweep.Size, Stride: req.Sweep.Stride}
-	if err := cfg.Validate(); err != nil {
-		return JobInfo{}, fmt.Errorf("%w: %v", repro.ErrBadConfig, err)
-	}
-	if se.maxJobs > 0 && se.sess.ActiveJobs()+r.liveSweepsLocked(se) >= se.maxJobs {
-		return JobInfo{}, fmt.Errorf("%w: session %s already runs %d jobs", repro.ErrSessionBusy, se.id, se.maxJobs)
-	}
-	r.jobSeq++
-	id := fmt.Sprintf("j-%d", r.jobSeq)
-	var sink shard.Sink = shard.DiscardSink{}
-	if !r.storeDiscards() {
-		sink = newStoreSink(r.store, id)
-	}
-	ctx, cancel := context.WithCancel(context.Background()) //ldvet:allow ctxflow: a background sweep outlives the creating request; DELETE and drain cancel it
-	h := startSweep(ctx, cancel, se.sharded, cfg, sink)
-	je := &jobEntry{
-		id:        id,
-		sessionID: se.id,
-		job:       h,
-		sweep:     h,
-		req:       &req,
-		cancel:    cancel,
-	}
-	info := je.info()
-	ver, err := r.putRecord(KindJob, id, 0, jobRecord{JobInfo: info, Request: &req})
-	if err != nil {
-		h.Stop() // deadlock-free under r.mu: the sweep goroutine never takes it
-		r.deleteRecord(KindCheckpoint, id)
-		return JobInfo{}, fmt.Errorf("serve: persist job: %w", err)
-	}
-	je.storeVer = ver
-	r.jobs[id] = je
-	se.jobIDs = append(se.jobIDs, id)
-	r.jobsWG.Add(1)
-	go je.pump(r)
-	return info, nil
+	r.mu.Unlock()
 }
 
 // persistJobFinal re-writes the job's record with its terminal state
@@ -959,13 +849,12 @@ func (r *Registry) persistJobFinal(je *jobEntry) {
 		}
 		return
 	}
-	// A terminal sweep — done, canceled or failed — never resumes, so
-	// its checkpoint record is garbage now. Only a crash (which leaves
-	// the job record in state "running") keeps the checkpoint, and that
-	// pair is exactly what restore resumes from.
-	if je.sweep != nil {
-		r.deleteRecord(KindCheckpoint, je.id)
-	}
+	// A terminal job — done, canceled or failed — never resumes, so a
+	// checkpoint record (a sweep's) is garbage now; deleting a missing
+	// one is a no-op. Only a crash (which leaves the job record in
+	// state "running") keeps the checkpoint, and that pair is exactly
+	// what restore resumes from.
+	r.deleteRecord(KindCheckpoint, je.id)
 	r.mu.Lock()
 	if _, ok := r.jobs[je.id]; ok {
 		je.storeVer = newVer
@@ -1017,39 +906,45 @@ func (r *Registry) StopJob(id string) (JobInfo, error) {
 	if aj != nil {
 		return aj.info, nil
 	}
-	je.job.Stop()
+	je.cancel()
+	<-je.ended // the run is over and its slot free
 	return je.info(), nil
 }
 
-// Subscribe attaches a conflated progress stream to a job: the
-// returned channel delivers TraceEntries with the same semantics as
-// Job.Progress (a slow reader misses old generations, never blocks
-// the GA or other subscribers) and is closed when the run ends. The
-// latest entry, if any, is delivered first, so a late subscriber sees
-// the current state immediately. For a finished or restored job the
-// channel is already closed — the caller reads the outcome from Job.
-// Call off to detach.
-func (r *Registry) Subscribe(jobID string) (ch <-chan repro.TraceEntry, off func(), err error) {
+// subscribe attaches a conflated frame stream to a job: the returned
+// channel delivers the run's SSE frames (a slow reader misses old
+// updates, never blocks the run or other subscribers) and is closed
+// when the run ends. The latest frame, if any, is delivered first, so
+// a late subscriber sees the current state immediately. A subscriber
+// to a finished job — live or restored — gets finalFrames of its
+// status and an already-closed channel; the caller reads the outcome
+// from Job. Call off to detach.
+func (r *Registry) subscribe(jobID string) (ch <-chan frame, off func(), err error) {
 	je, aj, err := r.jobRef(jobID)
 	if err != nil {
 		return nil, nil, err
 	}
+	var ji JobInfo
 	if aj != nil {
-		closed := make(chan repro.TraceEntry)
-		close(closed)
-		return closed, func() {}, nil
+		ji = aj.info
+	} else if ch, detach := je.subscribe(); ch != nil {
+		// Detaching counts as session activity, so the idle-eviction
+		// clock restarts when a long stream ends (Sweep also skips
+		// sessions with live subscribers — see hasSubscribers).
+		return ch, func() {
+			detach()
+			r.touchSession(je.sessionID)
+		}, nil
+	} else {
+		ji = je.info()
 	}
-	ch, detach, err := je.subscribe()
-	if err != nil {
-		return nil, nil, err
+	fs := finalFrames(ji)
+	final := make(chan frame, len(fs))
+	for _, f := range fs {
+		final <- f
 	}
-	// Detaching counts as session activity, so the idle-eviction
-	// clock restarts when a long stream ends (Sweep also skips
-	// sessions with live subscribers — see hasSubscribers).
-	return ch, func() {
-		detach()
-		r.touchSession(je.sessionID)
-	}, nil
+	close(final)
+	return final, func() {}, nil
 }
 
 // touchSession refreshes the session's idle-eviction clock.
@@ -1198,7 +1093,7 @@ func (r *Registry) RunningJobs() int {
 	n := 0
 	for _, je := range r.jobs {
 		select {
-		case <-je.job.Done():
+		case <-je.ended:
 		default:
 			n++
 		}
@@ -1239,7 +1134,7 @@ func (r *Registry) Sweep(now time.Time) (evictedSessions, evictedDatasets int) {
 	var orphans []recordRef
 	r.mu.Lock()
 	for id, se := range r.sessions {
-		if now.Sub(se.lastUsed) <= r.cfg.SessionTTL || se.sess.ActiveJobs() > 0 || r.liveSweepsLocked(se) > 0 {
+		if now.Sub(se.lastUsed) <= r.cfg.SessionTTL || se.active > 0 {
 			continue
 		}
 		if r.sessionStreamedLocked(se) {

@@ -390,4 +390,159 @@ func TestServeSSELateSubscriber(t *testing.T) {
 	if sawGeneration {
 		t.Error("late subscriber received generation events after the stream closed")
 	}
+
+	// A finished race follows the same rule: its late subscriber gets
+	// the final leaderboard, then done.
+	race, err := client.StartJob(ctx, sess.ID, serve.JobRequest{
+		Config: testGAConfig(9),
+		Race:   &repro.RaceSpec{Lanes: []repro.RaceLaneSpec{{Optimizer: "stpga"}}, SubsetSize: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.StreamEvents(ctx, race.ID, nil); err != nil {
+		t.Fatal(err)
+	}
+	checkFinishedRaceStream(t, client, race.ID)
+}
+
+// checkFinishedRaceStream asserts what a subscriber to a finished race
+// receives: exactly one leaderboard frame, the final one, then done
+// with the race outcome.
+func checkFinishedRaceStream(t *testing.T, client *serve.Client, jobID string) {
+	t.Helper()
+	var boards []repro.RaceBoard
+	final, err := client.StreamEvents(context.Background(), jobID, func(ev serve.Event) error {
+		switch ev.Type {
+		case serve.EventLeaderboard:
+			boards = append(boards, *ev.Board)
+		case serve.EventGeneration:
+			t.Error("finished race streamed a generation frame")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(boards) != 1 || !boards[0].Finished {
+		t.Fatalf("finished race streamed boards %+v, want exactly the final one", boards)
+	}
+	if final == nil || final.State != serve.JobDone || final.Race == nil || final.Race.Result == nil {
+		t.Fatalf("finished race done = %+v, want done with a race result", final)
+	}
+}
+
+// TestServeJobLimitSlotFreedBeforeDone: a job frees its slot before
+// its stream delivers done, so a closed-loop client on a one-slot
+// session can start the next job the moment it reads done — for GA
+// runs and for sweeps.
+func TestServeJobLimitSlotFreedBeforeDone(t *testing.T) {
+	client, reg := newTestServer(t, serve.RegistryConfig{MaxJobsPerSession: 1})
+	ctx := context.Background()
+	ds, err := reg.AddDataset(smallDatasetRequest(t, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := client.CreateSession(ctx, serve.SessionRequest{DatasetID: ds.ID, ShardSize: 4, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func(req serve.JobRequest) {
+		t.Helper()
+		job, err := client.StartJob(ctx, sess.ID, req)
+		if err != nil {
+			t.Fatalf("start right after the previous done: %v", err)
+		}
+		if final, err := client.StreamEvents(ctx, job.ID, nil); err != nil || final == nil || final.State != serve.JobDone {
+			t.Fatalf("job %s final = %+v, %v; want done", job.ID, final, err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		cfg := testGAConfig(uint64(i))
+		cfg.MaxGenerations = 4
+		cycle(serve.JobRequest{Config: cfg})
+	}
+	for i := 0; i < 3; i++ {
+		cycle(serve.JobRequest{Sweep: &serve.SweepSpec{Size: 2}})
+	}
+}
+
+// TestServeDrainAcrossKinds: BeginDrain ends the event stream of every
+// job kind — GA run, race and sweep — with done in state canceled
+// carrying the kind's partial section, and Close then returns.
+func TestServeDrainAcrossKinds(t *testing.T) {
+	client, reg := newTestServer(t, serve.RegistryConfig{})
+	ctx := context.Background()
+	sess := raceSetup(t, client)
+	wide, err := client.CreateDataset(ctx, serve.DatasetRequest{Format: serve.FormatPreset, Preset: 249, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := client.CreateSession(ctx, serve.SessionRequest{DatasetID: wide.ID, ShardSize: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := testGAConfig(11)
+	long.StagnationLimit = 100000
+	long.MaxGenerations = 100000
+	starts := []struct {
+		kind, sessionID string
+		req             serve.JobRequest
+	}{
+		{"ga", sess.ID, serve.JobRequest{Config: long}},
+		{"race", sess.ID, serve.JobRequest{Config: long, Race: &repro.RaceSpec{Lanes: []repro.RaceLaneSpec{{Optimizer: "ga"}}}}},
+		{"sweep", sharded.ID, serve.JobRequest{Sweep: &serve.SweepSpec{Size: 12}}},
+	}
+	type outcome struct {
+		kind  string
+		final *serve.JobInfo
+		err   error
+	}
+	outcomes := make(chan outcome, len(starts))
+	streaming := make(chan struct{}, len(starts))
+	for _, st := range starts {
+		job, err := client.StartJob(ctx, st.sessionID, st.req)
+		if err != nil {
+			t.Fatalf("%s start: %v", st.kind, err)
+		}
+		go func(kind, id string) {
+			first := true
+			final, err := client.StreamEvents(ctx, id, func(serve.Event) error {
+				if first {
+					first = false
+					streaming <- struct{}{}
+				}
+				return nil
+			})
+			outcomes <- outcome{kind, final, err}
+		}(st.kind, job.ID)
+	}
+	// Drain once every stream has delivered a frame.
+	for range starts {
+		select {
+		case <-streaming:
+		case <-time.After(30 * time.Second):
+			t.Fatal("a job streamed no frame")
+		}
+	}
+	reg.BeginDrain()
+	for range starts {
+		o := <-outcomes
+		if o.err != nil || o.final == nil || o.final.State != serve.JobCanceled {
+			t.Fatalf("%s stream ended with %+v, %v; want done in state canceled", o.kind, o.final, o.err)
+		}
+		var partial bool
+		switch o.kind {
+		case "ga":
+			partial = o.final.Result != nil
+		case "race":
+			partial = o.final.Race != nil && len(o.final.Race.Board.Lanes) == 1
+		case "sweep":
+			partial = o.final.Sweep != nil
+		}
+		if !partial {
+			t.Fatalf("drained %s job lacks its partial section: %+v", o.kind, o.final)
+		}
+	}
+	reg.Close()
 }

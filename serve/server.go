@@ -285,25 +285,15 @@ func (s *Server) deleteJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ji)
 }
 
-// getEvents streams the job's progress as server-sent events: one
-// "generation" event per received TraceEntry (conflated — see
-// Registry.Subscribe) and a final "done" event carrying the JobInfo.
+// getEvents streams the job's SSE frames — "generation" for GA and
+// sweep progress, "leaderboard" for a race, conflated (see
+// Registry.subscribe) — and a final "done" event carrying the JobInfo.
 // The stream ends when the run does or when the client disconnects.
-// For a finished — or restored — job the channel is already closed,
-// so the stream is just the terminating done event.
+// For a finished — or restored — job it is finalFrames and the
+// terminating done event.
 func (s *Server) getEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	boards, boardOff, isRace, err := s.reg.SubscribeBoard(id)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if isRace {
-		defer boardOff()
-		s.streamRace(w, r, id, boards)
-		return
-	}
-	ch, off, err := s.reg.Subscribe(id)
+	frames, off, err := s.reg.subscribe(id)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -319,7 +309,7 @@ func (s *Server) getEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-ctx.Done():
 			return
-		case e, ok := <-ch:
+		case f, ok := <-frames:
 			if !ok {
 				// Run finished: close the stream with the outcome.
 				ji, err := s.reg.Job(id)
@@ -330,36 +320,7 @@ func (s *Server) getEvents(w http.ResponseWriter, r *http.Request) {
 				fl.Flush()
 				return
 			}
-			writeEvent(w, EventGeneration, strconv.Itoa(e.Generation), e)
-			fl.Flush()
-		}
-	}
-}
-
-// streamRace streams a racing job's conflated leaderboard as
-// EventLeaderboard frames (id = board sequence number), terminated by
-// the standard EventDone carrying the JobInfo with its race outcome.
-func (s *Server) streamRace(w http.ResponseWriter, r *http.Request, id string, boards <-chan repro.RaceBoard) {
-	fl, ok := sseStart(w)
-	if !ok {
-		return
-	}
-	ctx := r.Context()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case b, ok := <-boards:
-			if !ok {
-				ji, err := s.reg.Job(id)
-				if err != nil {
-					return // session evicted mid-stream
-				}
-				writeEvent(w, EventDone, "", ji)
-				fl.Flush()
-				return
-			}
-			writeEvent(w, EventLeaderboard, strconv.FormatInt(b.Seq, 10), b)
+			writeEvent(w, f.event, f.id, f.data)
 			fl.Flush()
 		}
 	}

@@ -12,15 +12,13 @@ import (
 	"repro/internal/shard"
 )
 
-// sweepHandle runs one sharded window sweep (shard.RunSweep) behind
-// the same handle shape as a GA job (*repro.Job), so the jobEntry
-// plumbing — progress pump, SSE fan-out, stop, drain — serves both
-// without branching. Progress is published as TraceEntry snapshots:
-// Generation carries completed shards, Evaluations the windows
-// evaluated in this life.
+// sweepHandle runs one sharded window sweep (shard.RunSweep). Its
+// stream is TraceEntry progress as generation frames — Generation
+// carries completed shards, Evaluations the windows evaluated in this
+// life — and its outcome is the SweepResult, surfaced as
+// JobInfo.Sweep.
 type sweepHandle struct {
 	started  time.Time
-	cancel   context.CancelFunc
 	progress chan repro.TraceEntry
 	done     chan struct{}
 
@@ -30,18 +28,32 @@ type sweepHandle struct {
 	err    error
 }
 
-// startSweep launches the sweep over the session's sharded engine.
-// sink persists checkpoints (a storeSink over the registry store, or
-// shard.DiscardSink when the registry discards records).
-func startSweep(ctx context.Context, cancel context.CancelFunc, eng *repro.ShardedEngine, cfg shard.SweepConfig, sink shard.Sink) *sweepHandle {
+// startSweep validates a sweep request and launches it over the
+// session's sharded engine. Checkpoints go to a storeSink keyed by the
+// job id, so a sweep relaunched under the same id resumes from them
+// (shard.DiscardSink when the registry discards records).
+func (r *Registry) startSweep(ctx context.Context, se *sessionEntry, id string, req JobRequest) (runHandle, error) {
+	if req.Islands != 0 || req.MigrationInterval != 0 || req.MigrationCount != 0 {
+		return nil, fmt.Errorf("%w: sweep jobs run no GA; island and migration options do not apply", repro.ErrBadConfig)
+	}
+	if se.sharded == nil {
+		return nil, fmt.Errorf("%w: sweep jobs require a sharded session (create it with shard_size >= 1)", repro.ErrBadConfig)
+	}
+	cfg := shard.SweepConfig{Size: req.Sweep.Size, Stride: req.Sweep.Stride}
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", repro.ErrBadConfig, err)
+	}
+	var sink shard.Sink = shard.DiscardSink{}
+	if !r.storeDiscards() {
+		sink = newStoreSink(r.store, id)
+	}
 	h := &sweepHandle{
 		started:  time.Now(),
-		cancel:   cancel,
-		progress: make(chan repro.TraceEntry, 16),
+		progress: make(chan repro.TraceEntry, subscriberBuffer),
 		done:     make(chan struct{}),
 	}
-	go h.run(ctx, eng, cfg, sink)
-	return h
+	go h.run(ctx, se.sharded, cfg, sink)
+	return h, nil
 }
 
 func (h *sweepHandle) run(ctx context.Context, eng *repro.ShardedEngine, cfg shard.SweepConfig, sink shard.Sink) {
@@ -61,34 +73,23 @@ func (h *sweepHandle) run(ctx context.Context, eng *repro.ShardedEngine, cfg sha
 	h.res, h.err = res, err
 	h.mu.Unlock()
 	close(h.done)     // result is readable before the stream ends…
-	close(h.progress) // …so pump's drain-to-close guarantee holds
+	close(h.progress) // …so events returns only after the run has ended
 }
 
-// Progress implements runHandle; same conflation semantics as
-// Job.Progress (the channel is fed by conflatedSend).
-func (h *sweepHandle) Progress() <-chan repro.TraceEntry { return h.progress }
-
-// Done implements runHandle.
-func (h *sweepHandle) Done() <-chan struct{} { return h.done }
-
-// Wait implements runHandle. A sweep produces no GAResult — its
-// outcome is the SweepResult, surfaced by jobEntry.info as
-// JobInfo.Sweep.
-func (h *sweepHandle) Wait() (*repro.GAResult, error) {
+func (h *sweepHandle) wait() error {
 	<-h.done
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return nil, h.err
+	return h.err
 }
 
-// Stop implements runHandle: cancel and wait for the wind-down. The
-// completed shards stay checkpointed, so a resubmitted sweep resumes.
-func (h *sweepHandle) Stop() (*repro.GAResult, error) {
-	h.cancel()
-	return h.Wait()
+func (h *sweepHandle) events(emit func(frame)) {
+	for e := range h.progress {
+		emit(generationFrame(e))
+	}
 }
 
-// Report implements runHandle: shard progress in GA-report clothing.
+// Report is shard progress in GA-report clothing.
 func (h *sweepHandle) Report() repro.JobReport {
 	rep := repro.JobReport{Elapsed: time.Since(h.started)}
 	select {
@@ -103,30 +104,27 @@ func (h *sweepHandle) Report() repro.JobReport {
 	return rep
 }
 
-// result returns the finished sweep's outcome (nil while running).
-func (h *sweepHandle) result() *shard.SweepResult {
+// fill sets the shard progress, preferring the final result once the
+// run has ended, and the sweep outcome once the job is terminal.
+func (h *sweepHandle) fill(ji *JobInfo) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.res
-}
-
-// shardProgress snapshots the sweep for JobInfo.Shards, preferring
-// the final result once the run has ended.
-func (h *sweepHandle) shardProgress() *ShardProgress {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.res != nil {
-		return &ShardProgress{
-			Total:     h.res.Shards,
-			Done:      h.res.Done,
-			Resumed:   h.res.Resumed,
-			Evaluated: h.res.Evaluated,
+	if h.res == nil {
+		ji.Shards = &ShardProgress{
+			Total:     h.status.ShardsTotal,
+			Done:      h.status.ShardsDone,
+			Evaluated: h.status.Evaluated,
 		}
+		return
 	}
-	return &ShardProgress{
-		Total:     h.status.ShardsTotal,
-		Done:      h.status.ShardsDone,
-		Evaluated: h.status.Evaluated,
+	ji.Shards = &ShardProgress{
+		Total:     h.res.Shards,
+		Done:      h.res.Done,
+		Resumed:   h.res.Resumed,
+		Evaluated: h.res.Evaluated,
+	}
+	if ji.State != JobRunning {
+		ji.Sweep = h.res
 	}
 }
 

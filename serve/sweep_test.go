@@ -84,7 +84,8 @@ func TestServeSweepEndToEnd(t *testing.T) {
 
 // TestRegistrySweepValidation: the ways a sweep request can be wrong,
 // each answered with ErrBadConfig (HTTP 400) — plus the job limit,
-// which sweeps must respect even though they bypass Session.Start.
+// one slot count shared by sweeps, GA runs and races in both
+// directions.
 func TestRegistrySweepValidation(t *testing.T) {
 	reg := testRegistry(t, serve.RegistryConfig{MaxJobsPerSession: 1})
 	ds, err := reg.AddDataset(smallDatasetRequest(t, 9))
@@ -130,6 +131,45 @@ func TestRegistrySweepValidation(t *testing.T) {
 		t.Fatalf("sweep over the job limit err = %v, want ErrSessionBusy", err)
 	}
 	if _, err := reg.StopJob(job.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	// The other way round: a running sweep holds the only slot against
+	// every kind, and the session reports one active job. Width-8
+	// windows over the 249-SNP preset keep the sweep busy for a while.
+	wide, err := reg.AddDataset(serve.DatasetRequest{Format: serve.FormatPreset, Preset: 249, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wideSess, err := reg.CreateSession(serve.SessionRequest{DatasetID: wide.ID, ShardSize: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := reg.StartJob(wideSess.ID, serve.JobRequest{Sweep: &serve.SweepSpec{Size: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ji, err := reg.Job(sweep.ID); err != nil || ji.State != serve.JobRunning {
+		t.Fatalf("sweep = %+v, %v; want running", ji, err)
+	}
+	if _, err := reg.StartJob(wideSess.ID, serve.JobRequest{Config: long}); !errors.Is(err, repro.ErrSessionBusy) {
+		t.Fatalf("GA start beside a running sweep err = %v, want ErrSessionBusy", err)
+	}
+	race := &repro.RaceSpec{Lanes: []repro.RaceLaneSpec{{Optimizer: "ga"}}}
+	if _, err := reg.StartJob(wideSess.ID, serve.JobRequest{Config: long, Race: race}); !errors.Is(err, repro.ErrSessionBusy) {
+		t.Fatalf("race start beside a running sweep err = %v, want ErrSessionBusy", err)
+	}
+	if si, err := reg.Session(wideSess.ID); err != nil || si.ActiveJobs != 1 {
+		t.Fatalf("session = %+v, %v; want 1 active job", si, err)
+	}
+	if _, err := reg.StopJob(sweep.ID); err != nil {
+		t.Fatal(err)
+	}
+	ga, err := reg.StartJob(wideSess.ID, serve.JobRequest{Config: long})
+	if err != nil {
+		t.Fatalf("GA start after stopping the sweep: %v", err)
+	}
+	if _, err := reg.StopJob(ga.ID); err != nil {
 		t.Fatal(err)
 	}
 }
