@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro"
 	"repro/serve"
 )
 
@@ -389,16 +388,5 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	select {
 	case <-ctx.Done():
 	case <-t.C:
-	}
-}
-
-// engineConfig is the GA configuration of the engine benchmark phase:
-// big enough that a run performs thousands of evaluations, small
-// enough that -engine-runs of them finish in seconds.
-func engineConfig(seed uint64) repro.GAConfig {
-	return repro.GAConfig{
-		MinSize: 2, MaxSize: 4, PopulationSize: 40,
-		PairsPerGeneration: 12, StagnationLimit: 20,
-		ImmigrantStagnation: 8, MaxGenerations: 400, Seed: seed,
 	}
 }

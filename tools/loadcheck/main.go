@@ -1,12 +1,12 @@
-// Command loadcheck is the load/soak harness of the serving layer and
-// the keeper of the repository's perf trajectory. It boots a real
-// ldserve process, hammers it with configurable fleets of concurrent
-// clients — dataset uploads with dedup churn, session create/abandon
-// cycles, background GA jobs, SSE subscribers (including deliberately
-// slow consumers and mid-stream reconnects), and list/paginate/metrics
-// pollers — while sampling per-endpoint latency and the server's
-// goroutine/heap counters through GET /debug/runtime. When the soak
-// window closes it asserts the service-level objectives:
+// Command loadcheck is the load/soak harness of the serving layer. It
+// boots a real ldserve process, hammers it with configurable fleets of
+// concurrent clients — dataset uploads with dedup churn, session
+// create/abandon cycles, background GA jobs, SSE subscribers
+// (including deliberately slow consumers and mid-stream reconnects),
+// and list/paginate/metrics pollers — while sampling per-endpoint
+// latency and the server's goroutine/heap counters through
+// GET /debug/runtime. When the soak window closes it asserts the
+// service-level objectives:
 //
 //   - p99 latency bounds per endpoint class (reads, mutations, and
 //     time-to-first-SSE-event), scaled by -relax for loaded CI boxes,
@@ -17,20 +17,20 @@
 //   - dataset upload dedup stayed consistent under churn (the same
 //     preset+seed always answered the same fingerprint id).
 //
-// It then runs the in-process engine benchmark (GA runs through the
-// repro facade on the paper's 51-SNP study — the BenchmarkBackendGA
-// workload, distilled) and writes two machine-readable snapshots:
+// Two more scenarios get servers of their own: a SIGKILL mid-sweep
+// that must resume from its checkpoint on the next boot, and a
+// rate-limited profile that must answer overflow with 429 and a usable
+// Retry-After. The run writes BENCH_serve.json: client latency
+// classes, the server's /metrics document (fixed-bound histogram
+// included), the goroutine/heap series, and the SLO verdicts. Because
+// the histogram bucket bounds are fixed, two snapshots taken weeks
+// apart can be diffed bucket by bucket; see docs/API.md ("Performance
+// trajectory").
 //
-//	BENCH_serve.json   client latency classes, the server's /metrics
-//	                   document (fixed-bound histogram included),
-//	                   goroutine/heap series, and the SLO verdicts
-//	BENCH_engine.json  evals/sec, cache hit-rate and coalescing rate
-//
-// Committed over time these files are the perf trajectory: because the
-// histogram bucket bounds are fixed, two snapshots taken weeks apart
-// can be diffed bucket by bucket. CI runs a scaled-down profile
-// (fewer clients, shorter soak, relaxed SLOs) and uploads both files
-// as artifacts; see docs/API.md ("Performance trajectory").
+// Evaluation-engine throughput is not measured here: the Go benchmarks
+// in the repo root (BenchmarkBackendGA, BenchmarkRace,
+// BenchmarkPackedKernel, BenchmarkShardedEval) and the repository
+// benchmark (perfbench, BENCHMARK.json) own those numbers and gates.
 //
 // Usage:
 //
@@ -38,8 +38,10 @@
 //	go run ./tools/loadcheck -ldserve bin/ldserve # reuse a built binary
 //	go run ./tools/loadcheck -clients 48 -duration 8s -relax 4 -out .
 //
-// Any SLO violation exits nonzero with a diagnostic; the BENCH files
-// are written either way (a failing snapshot is still a data point).
+// Any SLO violation exits nonzero with a diagnostic; BENCH_serve.json
+// is written either way (a failing snapshot is still a data point).
+// Every exit, failing ones included, first stops the servers the run
+// started and removes its temp dirs.
 package main
 
 import (
@@ -63,19 +65,18 @@ import (
 
 func main() {
 	var (
-		bin        = flag.String("ldserve", "", "path to the ldserve binary (default: build it into a temp dir)")
-		clients    = flag.Int("clients", 200, "total concurrent clients across all fleets")
-		duration   = flag.Duration("duration", 15*time.Second, "soak window length")
-		out        = flag.String("out", ".", "directory the BENCH_*.json files are written to")
-		relax      = flag.Float64("relax", 1, "multiplier on the latency SLO bounds (loaded CI boxes need headroom)")
-		engineRuns = flag.Int("engine-runs", 4, "sequential GA runs in the engine benchmark phase")
-		shardSNPs  = flag.Int("shard-snps", 12000, "SNP count of the sharded kill-and-restart scenario's study; 0 skips the scenario")
-		rateRPS    = flag.Float64("rate", 25, "requests/second of the rate-limit scenario's server; 0 skips the scenario")
-		rateBurst  = flag.Int("rate-burst", 30, "burst size of the rate-limit scenario's server")
-		raceBench  = flag.Bool("race-bench", true, "run the racing benchmark phase (4 lanes racing vs the same 4 sequentially)")
-		apiKey     = flag.String("api-key", "loadcheck-secret", "API key to run the server with")
+		bin       = flag.String("ldserve", "", "path to the ldserve binary (default: build it into a temp dir)")
+		clients   = flag.Int("clients", 200, "total concurrent clients across all fleets")
+		duration  = flag.Duration("duration", 15*time.Second, "soak window length")
+		out       = flag.String("out", ".", "directory BENCH_serve.json is written to")
+		relax     = flag.Float64("relax", 1, "multiplier on the latency SLO bounds (loaded CI boxes need headroom)")
+		shardSNPs = flag.Int("shard-snps", 12000, "SNP count of the sharded kill-and-restart scenario's study; 0 skips the scenario")
+		rateRPS   = flag.Float64("rate", 25, "requests/second of the rate-limit scenario's server; 0 skips the scenario")
+		rateBurst = flag.Int("rate-burst", 30, "burst size of the rate-limit scenario's server")
+		apiKey    = flag.String("api-key", "loadcheck-secret", "API key to run the server with")
 	)
 	flag.Parse()
+	defer releaseOwned()
 	if *clients < 8 {
 		fatalf("-clients %d too small: the fleets need at least 8", *clients)
 	}
@@ -84,15 +85,10 @@ func main() {
 	}
 
 	binPath := ensureBinary(*bin)
-	dataDir, err := os.MkdirTemp("", "loadcheck-*")
-	if err != nil {
-		fatalf("temp dir: %v", err)
-	}
-	defer os.RemoveAll(dataDir)
+	dataDir := tempDir("loadcheck-*")
 
 	addr := freeAddr()
 	proc := startServer(binPath, addr, dataDir, *apiKey)
-	defer stopServer(proc)
 
 	// One pooled transport for every fleet worker: without a widened
 	// idle pool, hundreds of concurrent clients would thrash TCP
@@ -206,35 +202,12 @@ func main() {
 		rateDoc = &rd
 	}
 
-	// The engine benchmark runs after the server is gone, so the two
-	// phases never compete for cores.
-	engine, err := runEngineBench(*engineRuns)
-	if err != nil {
-		fatalf("engine bench: %v", err)
-	}
-	if k := engine.Kernel; k != nil {
-		fmt.Printf("loadcheck: kernel — 249-SNP count sweep %.2fx packed over byte (%dns vs %dns), pipeline %.2fx\n",
-			k.CountSpeedup, k.CountPackedNS, k.CountByteNS, k.PipelineSpeedup)
-	}
-	if *raceBench {
-		race, err := runRaceBench()
-		if err != nil {
-			fatalf("race bench: %v", err)
-		}
-		engine.Race = &race
-		fmt.Printf("loadcheck: race — 4 lanes computed %d evals raced vs %d sequential (%.1f%% saved), %d shared hits\n",
-			race.RacedComputed, race.SequentialComputed, 100*race.SavedFraction, race.SharedHits)
-	}
-
 	doc := buildServeBench(*clients, *duration, *relax, rec, metrics, sampler, baseline, finalRT, leakedJobs, rateDoc)
 	fmt.Printf("loadcheck: latency SLO bounds scaled ×%.1f (relax %.1f × cpu scale %.1f on %d CPUs)\n",
 		doc.Profile.Relax*doc.Profile.CPUScale, doc.Profile.Relax, doc.Profile.CPUScale, runtime.NumCPU())
-	writeJSON(filepath.Join(*out, "BENCH_serve.json"), doc)
-	writeJSON(filepath.Join(*out, "BENCH_engine.json"), engine)
-	fmt.Printf("loadcheck: wrote %s and %s\n",
-		filepath.Join(*out, "BENCH_serve.json"), filepath.Join(*out, "BENCH_engine.json"))
-	fmt.Printf("loadcheck: engine — %.0f requested evals/s, %.0f computed evals/s, hit rate %.2f, coalesce rate %.3f\n",
-		engine.RequestedPerSec, engine.ComputedPerSec, engine.HitRate, engine.CoalesceRate)
+	benchPath := filepath.Join(*out, "BENCH_serve.json")
+	writeJSON(benchPath, doc)
+	fmt.Printf("loadcheck: wrote %s\n", benchPath)
 
 	ok := true
 	for _, c := range doc.SLO.Checks {
@@ -364,11 +337,7 @@ func ensureBinary(path string) string {
 		}
 		return abs
 	}
-	dir, err := os.MkdirTemp("", "loadcheck-bin-*")
-	if err != nil {
-		fatalf("temp bin dir: %v", err)
-	}
-	out := filepath.Join(dir, "ldserve")
+	out := filepath.Join(tempDir("loadcheck-bin-*"), "ldserve")
 	cmd := exec.Command("go", "build", "-o", out, "./cmd/ldserve")
 	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
 	if err := cmd.Run(); err != nil {
@@ -408,7 +377,7 @@ func startServer(bin, addr, dataDir, apiKey string, extra ...string) *exec.Cmd {
 	}
 	cmd := exec.Command(bin, append(args, extra...)...)
 	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
-	if err := cmd.Start(); err != nil {
+	if err := startOwned(cmd); err != nil {
 		fatalf("start %s: %v", bin, err)
 	}
 	deadline := time.Now().Add(15 * time.Second)
@@ -420,7 +389,6 @@ func startServer(bin, addr, dataDir, apiKey string, extra ...string) *exec.Cmd {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	cmd.Process.Kill()
 	fatalf("server on %s never came up", addr)
 	return nil
 }
@@ -443,6 +411,66 @@ func stopServer(cmd *exec.Cmd) {
 	cmd.Process = nil
 }
 
+// killServer stops cmd at once with SIGKILL — no drain, no final
+// persist — and reaps it. Like stopServer, it is a no-op on a stopped
+// server.
+func killServer(cmd *exec.Cmd) {
+	if cmd.Process == nil {
+		return
+	}
+	cmd.Process.Kill()
+	cmd.Wait()
+	cmd.Process = nil
+}
+
+// owned is what the run has started and must not leave behind: the
+// ldserve processes (stopped ones are skipped on release) and every
+// temp dir. os.Exit skips deferred calls, so fatalf releases it
+// explicitly; main defers the same release for a passing run.
+var owned struct {
+	sync.Mutex
+	procs []*exec.Cmd
+	dirs  []string
+}
+
+// tempDir makes a temp dir the run owns until releaseOwned.
+func tempDir(pattern string) string {
+	dir, err := os.MkdirTemp("", pattern)
+	if err != nil {
+		fatalf("temp dir: %v", err)
+	}
+	owned.Lock()
+	owned.dirs = append(owned.dirs, dir)
+	owned.Unlock()
+	return dir
+}
+
+// startOwned starts cmd and owns it until releaseOwned.
+func startOwned(cmd *exec.Cmd) error {
+	if err := cmd.Start(); err != nil {
+		return err
+	}
+	owned.Lock()
+	owned.procs = append(owned.procs, cmd)
+	owned.Unlock()
+	return nil
+}
+
+// releaseOwned kills every owned process still running and removes
+// every owned temp dir. A second call finds nothing left to release.
+func releaseOwned() {
+	owned.Lock()
+	procs, dirs := owned.procs, owned.dirs
+	owned.procs, owned.dirs = nil, nil
+	owned.Unlock()
+	for _, cmd := range procs {
+		killServer(cmd)
+	}
+	for _, dir := range dirs {
+		os.RemoveAll(dir)
+	}
+}
+
 // writeJSON writes one BENCH document, indented, with a trailing
 // newline so the files diff cleanly in version control.
 func writeJSON(path string, doc any) {
@@ -455,11 +483,10 @@ func writeJSON(path string, doc any) {
 	}
 }
 
+// fatalf reports a failure, releases everything the run owns, and
+// exits nonzero.
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "loadcheck: FAIL: "+format+"\n", args...)
+	releaseOwned()
 	os.Exit(1)
 }
-
-// goVersion is the toolchain stamp both BENCH documents carry, so a
-// perf step change can be attributed to a Go upgrade.
-func goVersion() string { return runtime.Version() }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"time"
 )
@@ -40,14 +39,8 @@ type RateLimitBench struct {
 // Retry-After, or stays limited after the advertised wait fails here
 // directly.
 func runRateScenario(bin, apiKey string, rps float64, burst int) RateLimitBench {
-	dataDir, err := os.MkdirTemp("", "loadcheck-rate-*")
-	if err != nil {
-		fatalf("rate scenario temp dir: %v", err)
-	}
-	defer os.RemoveAll(dataDir)
-
 	addr := freeAddr()
-	proc := startServer(bin, addr, dataDir, apiKey,
+	proc := startServer(bin, addr, tempDir("loadcheck-rate-*"), apiKey,
 		"-rate", fmt.Sprintf("%g", rps), "-burst", strconv.Itoa(burst))
 	defer stopServer(proc)
 

@@ -5,10 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"os"
 	"path/filepath"
-	"runtime"
-	"syscall"
 	"time"
 
 	"repro"
@@ -18,7 +15,7 @@ import (
 // wideStudy generates the sharding workload: a study wide enough that
 // a sweep over it takes long enough to be killed mid-run, uploaded as
 // a multi-megabyte table (the "large upload" path).
-func wideStudy(numSNPs int) (*repro.Dataset, string) {
+func wideStudy(numSNPs int) string {
 	third := numSNPs / 3
 	d, err := repro.GenerateDataset(repro.GeneratorConfig{
 		NumSNPs: numSNPs, NumAffected: 60, NumUnaffected: 60, NumUnknown: 30,
@@ -37,7 +34,7 @@ func wideStudy(numSNPs int) (*repro.Dataset, string) {
 	if err := repro.WriteDataset(&buf, d); err != nil {
 		fatalf("serialize wide study: %v", err)
 	}
-	return d, buf.String()
+	return buf.String()
 }
 
 // runShardScenario is the kill-and-restart acceptance drill for
@@ -49,11 +46,7 @@ func wideStudy(numSNPs int) (*repro.Dataset, string) {
 // recomputed, strictly fewer windows evaluated in life 2, and a final
 // best window. Any violation exits nonzero.
 func runShardScenario(bin, apiKey string, numSNPs int) {
-	dataDir, err := os.MkdirTemp("", "loadcheck-shard-*")
-	if err != nil {
-		fatalf("shard scenario temp dir: %v", err)
-	}
-	defer os.RemoveAll(dataDir)
+	dataDir := tempDir("loadcheck-shard-*")
 	spillDir := filepath.Join(dataDir, "spill")
 	ctx := context.Background()
 
@@ -61,7 +54,7 @@ func runShardScenario(bin, apiKey string, numSNPs int) {
 	proc := startServer(bin, addr, filepath.Join(dataDir, "records"), apiKey, "-spill-dir", spillDir)
 	client := serve.NewClient("http://"+addr, http.DefaultClient, serve.WithAPIKey(apiKey))
 
-	_, table := wideStudy(numSNPs)
+	table := wideStudy(numSNPs)
 	ds, err := client.CreateDataset(ctx, serve.DatasetRequest{Format: serve.FormatTable, Content: table})
 	if err != nil {
 		fatalf("shard scenario upload: %v", err)
@@ -97,9 +90,7 @@ func runShardScenario(bin, apiKey string, numSNPs int) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	proc.Process.Signal(syscall.SIGKILL)
-	proc.Wait()
-	proc.Process = nil
+	killServer(proc)
 	fmt.Printf("loadcheck: shard scenario — SIGKILL after %d/%d shards\n",
 		killed.Shards.Done, killed.Shards.Total)
 
@@ -148,104 +139,4 @@ func runShardScenario(bin, apiKey string, numSNPs int) {
 	}
 	fmt.Printf("loadcheck: shard scenario OK — resumed %d shards, evaluated %d of %d windows in life 2, best %v (fitness %.3f)\n",
 		sw.Resumed, sw.Evaluated, sw.TotalWindows, sw.Best.Best, sw.Best.Fitness)
-}
-
-// ShardedBench pins sharded-vs-monolithic evaluation throughput: the
-// same batch of windows scored through the monolithic native backend,
-// an in-memory sharded engine, and a spill-backed sharded engine (all
-// cold caches, per-CPU workers). The ratio is the cost of gathering
-// columns shard by shard instead of slicing one resident table — the
-// price paid for datasets too wide to keep resident.
-type ShardedBench struct {
-	// NumSNPs and Rows describe the synthetic study.
-	NumSNPs int `json:"num_snps"`
-	// Rows is documented with NumSNPs above.
-	Rows int `json:"rows"`
-	// ShardSize is the columns-per-shard of the sharded engines.
-	ShardSize int `json:"shard_size"`
-	// Windows is the batch size (width-2 windows, stride 3).
-	Windows int `json:"windows"`
-	// MonolithicNS / MonolithicEvalsPerSec time the resident backend.
-	MonolithicNS int64 `json:"monolithic_ns"`
-	// MonolithicEvalsPerSec is documented with MonolithicNS above.
-	MonolithicEvalsPerSec float64 `json:"monolithic_evals_per_sec"`
-	// ShardedNS / ShardedEvalsPerSec time the in-memory sharded engine.
-	ShardedNS int64 `json:"sharded_ns"`
-	// ShardedEvalsPerSec is documented with ShardedNS above.
-	ShardedEvalsPerSec float64 `json:"sharded_evals_per_sec"`
-	// SpillNS / SpillEvalsPerSec time the spill-backed engine (shard
-	// files written once, then loaded through the LRU on demand).
-	SpillNS int64 `json:"spill_ns"`
-	// SpillEvalsPerSec is documented with SpillNS above.
-	SpillEvalsPerSec float64 `json:"spill_evals_per_sec"`
-	// ShardedVsMonolithic is sharded throughput over monolithic
-	// throughput (1.0 = free sharding).
-	ShardedVsMonolithic float64 `json:"sharded_vs_monolithic"`
-}
-
-// runShardedBench measures the three engines on one cold batch each.
-// The BenchmarkShardedEval bench in the repo root is the iterated
-// (go test -bench) twin of this snapshot.
-func runShardedBench() (ShardedBench, error) {
-	const (
-		numSNPs   = 3000
-		shardSize = 256
-	)
-	d, _ := wideStudy(numSNPs)
-	var windows [][]int
-	for s := 0; s+2 <= d.NumSNPs(); s += 3 {
-		windows = append(windows, []int{s, s + 1})
-	}
-	doc := ShardedBench{
-		NumSNPs: d.NumSNPs(), Rows: d.NumIndividuals(),
-		ShardSize: shardSize, Windows: len(windows),
-	}
-
-	timeBatch := func(ev repro.ParallelEvaluator) (int64, float64, error) {
-		defer ev.Close()
-		t0 := time.Now()
-		_, errs := ev.EvaluateBatch(windows)
-		for _, err := range errs {
-			if err != nil {
-				return 0, 0, err
-			}
-		}
-		wall := time.Since(t0)
-		return wall.Nanoseconds(), float64(len(windows)) / wall.Seconds(), nil
-	}
-
-	mono, err := repro.NewBackend(d, repro.T1, repro.BackendNative, 0)
-	if err != nil {
-		return doc, err
-	}
-	if doc.MonolithicNS, doc.MonolithicEvalsPerSec, err = timeBatch(mono); err != nil {
-		return doc, err
-	}
-
-	mem, err := repro.NewShardedEngine(d, repro.T1, shardSize, "", 0)
-	if err != nil {
-		return doc, err
-	}
-	if doc.ShardedNS, doc.ShardedEvalsPerSec, err = timeBatch(mem); err != nil {
-		return doc, err
-	}
-
-	spillDir, err := os.MkdirTemp("", "loadcheck-spill-*")
-	if err != nil {
-		return doc, err
-	}
-	defer os.RemoveAll(spillDir)
-	spill, err := repro.NewShardedEngine(d, repro.T1, shardSize, spillDir, 0)
-	if err != nil {
-		return doc, err
-	}
-	if doc.SpillNS, doc.SpillEvalsPerSec, err = timeBatch(spill); err != nil {
-		return doc, err
-	}
-
-	if doc.MonolithicEvalsPerSec > 0 {
-		doc.ShardedVsMonolithic = doc.ShardedEvalsPerSec / doc.MonolithicEvalsPerSec
-	}
-	runtime.GC() // the wide study is garbage now; don't bill it to the caller
-	return doc, nil
 }
