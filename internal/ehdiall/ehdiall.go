@@ -9,10 +9,13 @@
 // between distributing each individual over its compatible pairs in
 // proportion to current haplotype frequencies (E-step) and
 // re-estimating frequencies from expected counts (M-step), assuming
-// Hardy-Weinberg pairing. Likelihoods are computed with allelic
-// association (hypothesis H1, the EM solution) and without (hypothesis
-// H0, products of single-site allele frequencies), exactly as EH-DIALL
-// reports them.
+// Hardy-Weinberg pairing. Each call runs that plain EM first; a call
+// still short of the tolerance after 50 steps continues with SQUAREM
+// extrapolation (Varadhan & Roland, Scand. J. Stat. 35, 2008), whose
+// likelihood guard keeps the ascent monotone. Likelihoods are computed
+// with allelic association (hypothesis H1, the EM solution) and
+// without (hypothesis H0, products of single-site allele frequencies),
+// exactly as EH-DIALL reports them.
 //
 // The per-individual phase expansion is 2^(heterozygous sites) and the
 // haplotype table is 2^k, which is the genuine source of the paper's
@@ -37,9 +40,10 @@ const MaxSNPs = 20
 // Config tunes the EM iteration. The zero value selects defaults.
 type Config struct {
 	// Tol is the convergence threshold on the L1 change of the
-	// frequency vector between iterations (default 1e-9).
+	// frequency vector over one plain EM step (default 1e-9).
 	Tol float64
-	// MaxIter bounds EM iterations (default 500).
+	// MaxIter bounds the E-steps of one estimation, those inside
+	// extrapolation cycles included (default 500).
 	MaxIter int
 }
 
@@ -70,15 +74,17 @@ type Result struct {
 	// two hypotheses.
 	LogLik     float64
 	NullLogLik float64
-	// Iterations is the number of EM iterations performed; Converged
-	// reports whether the tolerance was met within MaxIter.
+	// Iterations is the number of E-steps performed, those inside
+	// extrapolation cycles included; Converged reports whether a plain
+	// EM step met the tolerance within MaxIter E-steps.
 	Iterations int
 	Converged  bool
 }
 
 // LRT returns the likelihood-ratio test statistic 2(LL1 - LL0). It is
-// non-negative because the EM starts from the H0 frequencies and
-// monotonically increases the likelihood.
+// non-negative because the EM starts from the H0 frequencies and its
+// likelihood never falls: plain EM steps ascend, and the monotone
+// guard rejects any extrapolation below the plain steps it replaces.
 func (r *Result) LRT() float64 {
 	v := 2 * (r.LogLik - r.NullLogLik)
 	if v < 0 {
@@ -174,13 +180,13 @@ func Estimate(patterns [][]genotype.Genotype, k int, cfg Config) (*Result, error
 
 // estimateCore is the single copy of the estimation arithmetic shared
 // by the byte path (Estimate) and the packed path (EstimatePacked):
-// H0 product frequencies, null log-likelihood, the EM ascent and the
-// H1 log-likelihood. Both front-ends produce identical groups in
-// identical order and identical p2 marginals, so sharing this code is
-// what makes their Results bit-identical. With a nil scratch every
-// buffer (and the Result) is freshly allocated; with a scratch the
-// Result and its slices alias scratch storage and stay valid only
-// until the scratch's next use.
+// H0 product frequencies, null log-likelihood, the EM ascent (plain
+// steps, then SQUAREM cycles) and the H1 log-likelihood. Both
+// front-ends produce identical groups in identical order and identical
+// p2 marginals, so sharing this code is what makes their Results
+// bit-identical. With a nil scratch every buffer (and the Result) is
+// freshly allocated; with a scratch the Result and its slices alias
+// scratch storage and stay valid only until the scratch's next use.
 func estimateCore(groups []patternGroup, n, k int, p2 []float64, cfg Config, scr *Scratch) *Result {
 	size := 1 << k
 	var res *Result
@@ -199,47 +205,81 @@ func estimateCore(groups []patternGroup, n, k int, p2 []float64, cfg Config, scr
 		counts = make([]float64, size)
 	}
 
-	// H0: product of single-site allele-2 frequencies.
-	for h := 0; h < size; h++ {
-		f := 1.0
-		for j := 0; j < k; j++ {
-			if h&(1<<j) != 0 {
-				f *= p2[j]
-			} else {
-				f *= 1 - p2[j]
-			}
-		}
-		nullFreqs[h] = f
-	}
+	h0Freqs(p2, nullFreqs)
 	res.NullFreqs = nullFreqs
 	res.NullLogLik = logLik(groups, nullFreqs)
 
-	// EM from the H0 point: monotone ascent makes LL1 >= LL0, hence
-	// LRT >= 0, the invariant the GA's fitness relies on.
+	// EM from the H0 point: plain EM steps first, then, for a call
+	// still short of Tol, SQUAREM cycles whose likelihood guard keeps
+	// the ascent monotone, so LL1 >= LL0 and hence LRT >= 0, the
+	// invariant the GA's fitness relies on.
 	copy(freqs, nullFreqs)
-	for iter := 1; iter <= cfg.MaxIter; iter++ {
-		for i := range counts {
-			counts[i] = 0
+	res.Iterations, res.Converged = plainEM(groups, n, freqs, counts, cfg.Tol, min(squaremAfter, cfg.MaxIter))
+	if !res.Converged && res.Iterations < cfg.MaxIter {
+		sq := &squaremBufs{}
+		if scr != nil {
+			sq = &scr.sq
 		}
-		for _, g := range groups {
-			expectStep(g, freqs, counts)
-		}
-		delta := 0.0
-		inv := 1 / (2 * float64(n))
-		for i := range freqs {
-			nf := counts[i] * inv
-			delta += math.Abs(nf - freqs[i])
-			freqs[i] = nf
-		}
-		res.Iterations = iter
-		if delta < cfg.Tol {
-			res.Converged = true
-			break
-		}
+		res.Iterations, res.Converged = squarem(groups, n, freqs, counts, cfg, res.Iterations, sq)
 	}
 	res.Freqs = freqs
 	res.LogLik = logLik(groups, freqs)
 	return res
+}
+
+// h0Freqs writes the H0 haplotype frequencies, products of the
+// single-site allele-2 frequencies p2, into dst (2^len(p2) entries).
+func h0Freqs(p2, dst []float64) {
+	for h := range dst {
+		f := 1.0
+		for j, p := range p2 {
+			if h&(1<<j) != 0 {
+				f *= p
+			} else {
+				f *= 1 - p
+			}
+		}
+		dst[h] = f
+	}
+}
+
+// plainEM runs plain EM steps on freqs in place until one changes the
+// frequencies by less than tol in L1 or limit steps have run. It
+// returns the step count and whether tol was met. Production calls it
+// with limit squaremAfter; tests call it with MaxIter, as the oracle
+// the accelerated estimator is measured against.
+func plainEM(groups []patternGroup, n int, freqs, counts []float64, tol float64, limit int) (int, bool) {
+	for iter := 1; iter <= limit; iter++ {
+		if delta, _ := emStep(groups, n, freqs, freqs, counts, false); delta < tol {
+			return iter, true
+		}
+	}
+	return limit, false
+}
+
+// emStep is one EM step from f: the E-step distributes every pattern
+// group over its compatible haplotype pairs into counts, the M-step
+// writes the re-estimated frequencies into next, which may alias f.
+// It returns the L1 change of the step and, when withLL is set, the
+// log-likelihood at f, formed from the E-step's pattern probabilities
+// with logLik's arithmetic.
+func emStep(groups []patternGroup, n int, f, next, counts []float64, withLL bool) (delta, ll float64) {
+	for i := range counts {
+		counts[i] = 0
+	}
+	for _, g := range groups {
+		p := expectStep(g, f, counts)
+		if withLL {
+			ll += groupLogLik(g, p)
+		}
+	}
+	inv := 1 / (2 * float64(n))
+	for i := range next {
+		nf := counts[i] * inv
+		delta += math.Abs(nf - f[i])
+		next[i] = nf
+	}
+	return delta, ll
 }
 
 // growFloats resizes buf to n entries, reusing its storage when it
@@ -316,11 +356,13 @@ func patternProb(g patternGroup, f []float64) float64 {
 }
 
 // expectStep adds the pattern group's expected haplotype copy counts
-// to counts, given current frequencies.
-func expectStep(g patternGroup, f, counts []float64) {
+// to counts, given current frequencies, and returns the pattern's
+// probability under them (patternProb).
+func expectStep(g patternGroup, f, counts []float64) float64 {
 	if g.hets == 0 {
 		counts[g.base] += 2 * g.count
-		return
+		v := f[g.base]
+		return v * v
 	}
 	total := patternProb(g, f)
 	if total <= 0 {
@@ -338,7 +380,7 @@ func expectStep(g patternGroup, f, counts []float64) {
 			}
 			s = (s - 1) & g.hets
 		}
-		return
+		return total
 	}
 	s := g.hets
 	for {
@@ -350,21 +392,26 @@ func expectStep(g patternGroup, f, counts []float64) {
 		}
 		s = (s - 1) & g.hets
 	}
+	return total
 }
 
 // logLik returns the sample log-likelihood of the grouped patterns
-// under haplotype frequencies f. Patterns with zero probability
-// contribute a large negative penalty instead of -Inf so that
-// comparisons stay ordered.
+// under haplotype frequencies f.
 func logLik(groups []patternGroup, f []float64) float64 {
 	ll := 0.0
 	for _, g := range groups {
-		p := patternProb(g, f)
-		if p <= 0 {
-			ll += g.count * -745 // ~log of smallest positive float64
-			continue
-		}
-		ll += g.count * math.Log(p)
+		ll += groupLogLik(g, patternProb(g, f))
 	}
 	return ll
+}
+
+// groupLogLik is a pattern group's log-likelihood term given its
+// pattern probability p. Patterns with zero probability contribute a
+// large negative penalty instead of -Inf so that comparisons stay
+// ordered.
+func groupLogLik(g patternGroup, p float64) float64 {
+	if p <= 0 {
+		return g.count * -745 // ~log of smallest positive float64
+	}
+	return g.count * math.Log(p)
 }

@@ -34,6 +34,7 @@ type Scratch struct {
 	count2 [MaxSNPs]int
 
 	nullFreqs, freqs, counts []float64
+	sq                       squaremBufs
 	res                      Result
 }
 

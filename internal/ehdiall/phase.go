@@ -2,6 +2,7 @@ package ehdiall
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/genotype"
 )
@@ -74,7 +75,7 @@ func (r *Result) Phase(patterns [][]genotype.Genotype) ([]PhasedPair, error) {
 		} else {
 			// No compatible pair has positive frequency; fall back to
 			// a uniform posterior over the compatible pairs.
-			pairs := 1 << popcount(hets)
+			pairs := 1 << bits.OnesCount32(hets)
 			if hets != 0 {
 				pairs /= 2
 			}
@@ -83,13 +84,4 @@ func (r *Result) Phase(patterns [][]genotype.Genotype) ([]PhasedPair, error) {
 		out[i] = best
 	}
 	return out, nil
-}
-
-func popcount(x uint32) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

@@ -112,12 +112,3 @@ func TestPhaseErrors(t *testing.T) {
 		t.Fatal("missing genotype accepted")
 	}
 }
-
-func TestPopcount(t *testing.T) {
-	cases := map[uint32]int{0: 0, 1: 1, 0b1011: 3, 0xffffffff: 32}
-	for x, want := range cases {
-		if got := popcount(x); got != want {
-			t.Errorf("popcount(%b) = %d, want %d", x, got, want)
-		}
-	}
-}

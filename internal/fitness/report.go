@@ -43,7 +43,7 @@ func (p *Pipeline) WriteReport(w io.Writer, names []string, sites []int) error {
 		fmt.Fprintf(w, "  %-10s %4d  %11.3f  %11.3f  %7.3f  %2d  %.4g",
 			g.name, g.n, g.ll1, g.ll0, g.res.LRT(), g.res.DF(), g.res.PValue())
 		if !g.converged {
-			fmt.Fprintf(w, "  (EM not converged after %d iterations)", g.iterations)
+			fmt.Fprintf(w, "  (EM not converged after %d EM steps)", g.iterations)
 		}
 		fmt.Fprintln(w)
 	}

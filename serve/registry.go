@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -1032,25 +1033,17 @@ func (r *Registry) ListSessions(cursor string, limit int) (SessionList, error) {
 // (unknown session ids answer ErrNotFound). Pagination as in
 // ListDatasets.
 func (r *Registry) ListJobs(sessionID, cursor string, limit int) (JobList, error) {
-	r.mu.Lock()
 	if sessionID != "" {
-		if _, ok := r.sessions[sessionID]; !ok {
-			r.mu.Unlock()
-			return JobList{}, fmt.Errorf("%w: session %q", ErrNotFound, sessionID)
-		}
-		r.sessions[sessionID].lastUsed = time.Now()
+		return r.listSessionJobs(sessionID, cursor, limit)
 	}
+	r.mu.Lock()
 	live := make([]*jobEntry, 0, len(r.jobs))
 	for _, je := range r.jobs {
-		if sessionID == "" || je.sessionID == sessionID {
-			live = append(live, je)
-		}
+		live = append(live, je)
 	}
 	infos := make([]JobInfo, 0, len(live)+len(r.archive))
 	for _, aj := range r.archive {
-		if sessionID == "" || aj.info.SessionID == sessionID {
-			infos = append(infos, aj.info)
-		}
+		infos = append(infos, aj.info)
 	}
 	r.mu.Unlock()
 	for _, je := range live {
@@ -1059,6 +1052,38 @@ func (r *Registry) ListJobs(sessionID, cursor string, limit int) (JobList, error
 	sortByID(infos, func(i JobInfo) string { return i.ID })
 	items, next := page(infos, func(i JobInfo) string { return i.ID }, cursor, limit)
 	return JobList{Jobs: items, NextCursor: next}, nil
+}
+
+// listSessionJobs is ListJobs for one session, at a cost in proportion
+// to that session: it pages the session's own job ids (live and
+// restored alike) and builds a JobInfo only for the ids on the page.
+func (r *Registry) listSessionJobs(sessionID, cursor string, limit int) (JobList, error) {
+	r.mu.Lock()
+	se, ok := r.sessions[sessionID]
+	if !ok {
+		r.mu.Unlock()
+		return JobList{}, fmt.Errorf("%w: session %q", ErrNotFound, sessionID)
+	}
+	se.lastUsed = time.Now()
+	ids := slices.Clone(se.jobIDs)
+	sortByID(ids, func(id string) string { return id })
+	ids, next := page(ids, func(id string) string { return id }, cursor, limit)
+	infos := make([]JobInfo, len(ids))
+	live := make([]*jobEntry, len(ids))
+	for i, id := range ids {
+		if aj, ok := r.archive[id]; ok {
+			infos[i] = aj.info
+		} else {
+			live[i] = r.jobs[id]
+		}
+	}
+	r.mu.Unlock()
+	for i, je := range live {
+		if je != nil {
+			infos[i] = je.info() // outside the lock: hits the Job handle
+		}
+	}
+	return JobList{Jobs: infos, NextCursor: next}, nil
 }
 
 // sortByID sorts items by registry id order (see idLess).

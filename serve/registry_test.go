@@ -3,6 +3,11 @@ package serve_test
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -275,4 +280,137 @@ func TestRegistryDrain(t *testing.T) {
 	if _, err := reg.Stats(sess.ID); err != nil {
 		t.Fatalf("Stats read during drain: %v", err)
 	}
+}
+
+// TestRegistryListSessionJobsPaging: a session listing walks the
+// session's own job ids. Over three pages of one session's jobs —
+// restored archived records from a previous life plus finished live
+// jobs of this one, beside another session's jobs — every page's ids,
+// infos and cursor must equal a brute-force listing that filters all
+// jobs by session, sorts them by id and slices pages of ten.
+func TestRegistryListSessionJobsPaging(t *testing.T) {
+	dir := t.TempDir()
+	cfg := func(seed uint64) serve.JobRequest {
+		c := testGAConfig(seed)
+		c.MaxGenerations = 2
+		return serve.JobRequest{Config: c}
+	}
+	runJobs := func(reg *serve.Registry, sessID string, n int, seed uint64) {
+		for i := 0; i < n; i++ {
+			ji, err := reg.StartJob(sessID, cfg(seed+uint64(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitJobDone(t, reg, ji.ID)
+		}
+	}
+
+	// Life 1 leaves finished job records in the store.
+	reg1 := serve.NewRegistry(serve.RegistryConfig{SweepInterval: -1})
+	if err := reg1.UseStore(mustFSStore(t, dir)); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := reg1.AddDataset(smallDatasetRequest(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := reg1.CreateSession(serve.SessionRequest{DatasetID: ds.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := reg1.CreateSession(serve.SessionRequest{DatasetID: ds.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runJobs(reg1, sess.ID, 8, 1)
+	runJobs(reg1, other.ID, 2, 100)
+	reg1.Close()
+
+	// Life 2 restores those as archived records and runs more jobs,
+	// interleaving the two sessions' ids.
+	reg := serve.NewRegistry(serve.RegistryConfig{SweepInterval: -1})
+	if err := reg.UseStore(mustFSStore(t, dir)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(reg.Close)
+	runJobs(reg, sess.ID, 9, 20)
+	runJobs(reg, other.ID, 3, 200)
+	runJobs(reg, sess.ID, 8, 40)
+
+	all, err := reg.ListJobs("", "", 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []serve.JobInfo
+	for _, ji := range all.Jobs {
+		if ji.SessionID == sess.ID {
+			want = append(want, ji)
+		}
+	}
+	sort.Slice(want, func(i, j int) bool { return jobSeq(t, want[i].ID) < jobSeq(t, want[j].ID) })
+	if len(want) != 25 {
+		t.Fatalf("session has %d jobs, want 25", len(want))
+	}
+
+	const limit = 10
+	cursor, pages := "", 0
+	for start := 0; start < len(want); start += limit {
+		end := min(start+limit, len(want))
+		wantNext := ""
+		if end < len(want) {
+			wantNext = want[end-1].ID
+		}
+		got, err := reg.ListJobs(sess.ID, cursor, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(stillClock(got.Jobs), stillClock(want[start:end])) {
+			t.Fatalf("page %d (cursor %q): got %v, want %v", pages, cursor, jobIDs(got.Jobs), jobIDs(want[start:end]))
+		}
+		if got.NextCursor != wantNext {
+			t.Fatalf("page %d: next cursor %q, want %q", pages, got.NextCursor, wantNext)
+		}
+		cursor = got.NextCursor
+		pages++
+	}
+	if pages != 3 {
+		t.Fatalf("listed %d pages, want 3", pages)
+	}
+	if _, err := reg.ListJobs("s-999", "", limit); !errors.Is(err, serve.ErrNotFound) {
+		t.Fatalf("unknown session: err = %v, want ErrNotFound", err)
+	}
+}
+
+// jobSeq parses the sequence number of a "j-N" job id.
+func jobSeq(t *testing.T, id string) int {
+	t.Helper()
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "j-"))
+	if err != nil {
+		t.Fatalf("job id %q: %v", id, err)
+	}
+	return n
+}
+
+// stillClock zeroes the fields of a finished live job that move
+// between two reads: its Elapsed time since Start and its engine's
+// uptime.
+func stillClock(jobs []serve.JobInfo) []serve.JobInfo {
+	out := slices.Clone(jobs)
+	for i := range out {
+		out[i].Report.Elapsed = 0
+		if e := out[i].Report.Engine; e != nil {
+			still := *e
+			still.Uptime = 0
+			out[i].Report.Engine = &still
+		}
+	}
+	return out
+}
+
+func jobIDs(jobs []serve.JobInfo) []string {
+	ids := make([]string, len(jobs))
+	for i, ji := range jobs {
+		ids[i] = ji.ID
+	}
+	return ids
 }
