@@ -12,11 +12,13 @@ import (
 
 // corpusCase is one EM call of the fixed paper-shaped corpus: the
 // grouped complete-case patterns and H0 marginals estimateCore starts
-// from.
+// from, and the packed columns and row mask they were grouped from.
 type corpusCase struct {
 	groups []patternGroup
 	n, k   int
 	p2     []float64
+	cols   []genotype.PackedColumn
+	mask   genotype.PlaneMask
 }
 
 const (
@@ -68,7 +70,8 @@ func paperCorpus(tb testing.TB) []corpusCase {
 					cols[j] = packed.Col(s)
 				}
 				var scr Scratch
-				groups, n := groupPacked(cols, masks[(i/2)%2], &scr)
+				mask := masks[(i/2)%2]
+				groups, n := groupPacked(cols, mask, &scr)
 				if n == 0 {
 					continue
 				}
@@ -76,7 +79,7 @@ func paperCorpus(tb testing.TB) []corpusCase {
 				for j := range p2 {
 					p2[j] = float64(scr.count2[j]) / (2 * float64(n))
 				}
-				corpusCases = append(corpusCases, corpusCase{groups: groups, n: n, k: k, p2: p2})
+				corpusCases = append(corpusCases, corpusCase{groups: groups, n: n, k: k, p2: p2, cols: cols, mask: mask})
 			}
 		}
 	})
@@ -272,7 +275,9 @@ func TestSquaremAllocFree(t *testing.T) {
 // paper-shaped corpus, one op being the whole corpus. Unlike the
 // independent random genotypes of BenchmarkEstimateK*, which converge
 // within a few steps, it has the linkage that makes EM steps the cost,
-// and reports E-steps per call and non-converged calls per op.
+// and reports E-steps per call, non-converged calls per op and the
+// wall time per E-step (the calls' likelihood passes included), which
+// is the kernel's cost apart from the step count.
 func BenchmarkEstimateCorpus249(b *testing.B) {
 	corpus := paperCorpus(b)
 	cfg := Config{}.withDefaults()
@@ -290,4 +295,5 @@ func BenchmarkEstimateCorpus249(b *testing.B) {
 	}
 	b.ReportMetric(float64(steps)/float64(b.N*len(corpus)), "esteps/call")
 	b.ReportMetric(float64(nonconv)/float64(b.N), "nonconv/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/estep")
 }

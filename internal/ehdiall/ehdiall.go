@@ -17,9 +17,10 @@
 // without (hypothesis H0, products of single-site allele frequencies),
 // exactly as EH-DIALL reports them.
 //
-// The per-individual phase expansion is 2^(heterozygous sites) and the
-// haplotype table is 2^k, which is the genuine source of the paper's
-// Figure 4: evaluation cost grows exponentially with haplotype size.
+// A pattern with h heterozygous sites expands into 2^(h-1) unordered
+// haplotype pairs (one pair when h = 0), and the haplotype table is
+// 2^k, which is the genuine source of the paper's Figure 4: evaluation
+// cost grows exponentially with haplotype size.
 package ehdiall
 
 import (
@@ -333,64 +334,106 @@ func groupPatterns(patterns [][]genotype.Genotype, k int) ([]patternGroup, int, 
 }
 
 // patternProb returns the HWE probability of the genotype pattern
-// under haplotype frequencies f: the sum of f(h1)*f(h2) over all
-// ordered compatible pairs (which double-counts heterozygote pairs,
-// exactly the HWE 2*f1*f2 factor).
+// under haplotype frequencies f: the sum over unordered compatible
+// pairs {h1, h2} of f(h1)*f(h2), doubled for h1 != h2 (the HWE 2*f1*f2
+// factor). A homozygous pattern has the one pair {base, base}; with at
+// least one heterozygous site every pair is heterozygous, so the
+// probability is 2 x the half sum over the 2^(h-1) unordered pairs.
 func patternProb(g patternGroup, f []float64) float64 {
-	if g.hets == 0 {
-		v := f[g.base]
-		return v * v
+	if g.hets&(g.hets-1) == 0 {
+		return onePairProb(g, f)
 	}
-	p := 0.0
-	// Enumerate all subsets s of the heterozygous mask, pairing
-	// haplotype base|s with base|(hets^s).
-	s := g.hets
-	for {
-		p += f[g.base|s] * f[g.base|(g.hets^s)]
-		if s == 0 {
-			break
-		}
-		s = (s - 1) & g.hets
+	return multiPairProb(g, f)
+}
+
+// onePairProb is patternProb for zero or one heterozygous site, where
+// the pattern has the single pair {base, base|hets}. It is small enough
+// to inline into expectStep: these patterns dominate small k.
+func onePairProb(g patternGroup, f []float64) float64 {
+	p := f[g.base] * f[g.base|g.hets]
+	if g.hets != 0 {
+		p *= 2
 	}
 	return p
 }
 
-// expectStep adds the pattern group's expected haplotype copy counts
-// to counts, given current frequencies, and returns the pattern's
-// probability under them (patternProb).
-func expectStep(g patternGroup, f, counts []float64) float64 {
-	if g.hets == 0 {
-		counts[g.base] += 2 * g.count
-		v := f[g.base]
-		return v * v
-	}
-	total := patternProb(g, f)
-	if total <= 0 {
-		// All compatible pairs currently have zero frequency; spread
-		// uniformly so the EM can recover (matches EH behaviour on
-		// empty cells).
-		pairs := float64(uint32(1) << bits.OnesCount32(g.hets))
-		w := g.count / pairs
-		s := g.hets
-		for {
-			counts[g.base|s] += w
-			counts[g.base|(g.hets^s)] += w
-			if s == 0 {
-				break
-			}
-			s = (s - 1) & g.hets
-		}
-		return total
-	}
-	s := g.hets
+// splitHets splits a heterozygous mask into its highest bit top and the
+// rest low. The subsets s of low enumerate each unordered compatible
+// pair exactly once, as {base|s, base|top|(low^s)}.
+func splitHets(hets uint32) (top, low uint32) {
+	top = uint32(1) << (31 - bits.LeadingZeros32(hets))
+	return top, hets &^ top
+}
+
+// multiPairProb is patternProb for two or more heterozygous sites. The
+// 2^(h-1) subsets of low are an even number, so two accumulators take
+// them in turn.
+func multiPairProb(g patternGroup, f []float64) float64 {
+	top, low := splitHets(g.hets)
+	hi := g.base | top
+	var p0, p1 float64
+	s := low
 	for {
-		w := g.count * f[g.base|s] * f[g.base|(g.hets^s)] / total
-		counts[g.base|s] += w
-		counts[g.base|(g.hets^s)] += w
+		p0 += f[g.base|s] * f[hi|(low^s)]
+		s = (s - 1) & low
+		p1 += f[g.base|s] * f[hi|(low^s)]
 		if s == 0 {
 			break
 		}
-		s = (s - 1) & g.hets
+		s = (s - 1) & low
+	}
+	return 2 * (p0 + p1)
+}
+
+// expectStep adds the pattern group's expected haplotype copy counts
+// to counts, given current frequencies, and returns the pattern's
+// probability under them (patternProb). Each unordered compatible pair
+// {x, y} has posterior 2*f(x)*f(y)/total and gives a copy to both x
+// and y, so one scale 2*count/total per group replaces a division per
+// pair.
+func expectStep(g patternGroup, f, counts []float64) float64 {
+	if g.hets == 0 {
+		counts[g.base] += 2 * g.count
+		return onePairProb(g, f)
+	}
+	// patternProb, with its single-pair case inlined.
+	var total float64
+	if g.hets&(g.hets-1) == 0 {
+		total = onePairProb(g, f)
+	} else {
+		total = multiPairProb(g, f)
+	}
+	top, low := splitHets(g.hets)
+	hi := g.base | top
+	scale := 2 * g.count / total
+	if math.IsInf(scale, 1) {
+		// The pattern has probability 0 (all compatible pairs currently
+		// have zero frequency), or one so deep in the subnormal range
+		// that the scale overflows; spread uniformly so the EM can
+		// recover (matches EH behaviour on empty cells): every
+		// compatible haplotype is in one pair and gets 2*count/2^h.
+		w := 2 * g.count / float64(uint32(1)<<bits.OnesCount32(g.hets))
+		s := low
+		for {
+			counts[g.base|s] += w
+			counts[hi|(low^s)] += w
+			if s == 0 {
+				break
+			}
+			s = (s - 1) & low
+		}
+		return total
+	}
+	s := low
+	for {
+		x, y := g.base|s, hi|(low^s)
+		w := f[x] * f[y] * scale
+		counts[x] += w
+		counts[y] += w
+		if s == 0 {
+			break
+		}
+		s = (s - 1) & low
 	}
 	return total
 }

@@ -15,16 +15,24 @@ import (
 	"repro/internal/genotype"
 )
 
-// Scratch holds the reusable buffers of one estimation worker. A zero
-// Scratch is ready to use; buffers grow on demand and are retained
-// across calls, making repeated EstimatePacked calls allocation-free
-// in steady state. A Scratch must not be shared between concurrent
-// estimations, and a Result produced with a Scratch aliases its
-// storage — it is valid only until the scratch's next use.
+// Scratch holds the reusable buffers of one estimation worker: the
+// pattern-grouping table and groups, the EM's frequency and count
+// vectors and the SQUAREM cycle's vectors. A zero Scratch is ready to
+// use; buffers grow on demand and are retained across calls, making
+// repeated EstimatePacked calls allocation-free in steady state. A
+// Scratch must not be shared between concurrent estimations, and a
+// Result produced with a Scratch aliases its storage — it is valid
+// only until the scratch's next use.
 type Scratch struct {
 	groups []patternGroup
-	idx    map[uint64]int32
 	p2     []float64
+
+	// slots is groupPacked's open-addressing table from a (base, hets)
+	// pattern to its index in groups. A slot is occupied only while its
+	// stamp equals gen, and every call takes a new gen, so each call
+	// starts from an empty table without clearing it.
+	slots []groupSlot
+	gen   uint32
 
 	// Per-word class planes of the gathered columns, one entry per
 	// site (k <= MaxSNPs).
@@ -80,6 +88,14 @@ func EstimatePacked(cols []genotype.PackedColumn, mask genotype.PlaneMask, cfg C
 	return estimateCore(groups, n, k, scr.p2, cfg, scr), nil
 }
 
+// groupSlot is one slot of groupPacked's table: the index into
+// Scratch.groups of the pattern it holds, live while stamp is the
+// current generation.
+type groupSlot struct {
+	stamp uint32
+	group int32
+}
+
 // groupPacked walks the packed columns word by word, drops rows with a
 // missing code at any site, and groups the surviving complete-case
 // rows by (base, hets) pattern in first-appearance order. Because
@@ -88,14 +104,15 @@ func EstimatePacked(cols []genotype.PackedColumn, mask genotype.PlaneMask, cfg C
 // downstream — matches the byte path's row loop exactly. It also
 // accumulates the per-site allele-2 tallies (2 per hom2 row, 1 per het
 // row) into scr.count2 via popcounts.
+//
+// Patterns are looked up in a flat linear-probing table of a power of
+// two at least twice the mask's row count, so it is at most half full:
+// there are no more groups than rows.
 func groupPacked(cols []genotype.PackedColumn, mask genotype.PlaneMask, scr *Scratch) ([]patternGroup, int) {
 	k := len(cols)
 	scr.groups = scr.groups[:0]
-	if scr.idx == nil {
-		scr.idx = make(map[uint64]int32)
-	} else {
-		clear(scr.idx)
-	}
+	slots, gen, shift := scr.resetTable(mask.NumRows())
+	tmask := uint64(len(slots) - 1)
 	for j := 0; j < k; j++ {
 		scr.count2[j] = 0
 	}
@@ -132,13 +149,39 @@ func groupPacked(cols []genotype.PackedColumn, mask genotype.PlaneMask, scr *Scr
 				hets |= uint32((scr.het[j]>>pos)&1) << j
 			}
 			key := uint64(base)<<32 | uint64(hets)
-			if gi, ok := scr.idx[key]; ok {
-				scr.groups[gi].count++
-				continue
+			for h := (key * 0x9e3779b97f4a7c15) >> shift; ; h = (h + 1) & tmask {
+				sl := &slots[h]
+				if sl.stamp != gen {
+					*sl = groupSlot{stamp: gen, group: int32(len(scr.groups))}
+					scr.groups = append(scr.groups, patternGroup{base: base, hets: hets, count: 1})
+					break
+				}
+				if g := &scr.groups[sl.group]; g.base == base && g.hets == hets {
+					g.count++
+					break
+				}
 			}
-			scr.idx[key] = int32(len(scr.groups))
-			scr.groups = append(scr.groups, patternGroup{base: base, hets: hets, count: 1})
 		}
 	}
 	return scr.groups, n
+}
+
+// resetTable readies the grouping table for a mask of rows rows and
+// returns its slots, the call's generation and the hash shift that maps
+// a 64-bit product onto a slot index. The table grows to the smallest
+// power of two at least 2*rows and is reused as a prefix when smaller
+// masks follow. Taking a new generation empties it; only when the
+// counter wraps are the stamps cleared.
+func (scr *Scratch) resetTable(rows int) ([]groupSlot, uint32, uint) {
+	logSize := bits.Len(uint(2*max(rows, 1) - 1))
+	size := 1 << logSize
+	if len(scr.slots) < size {
+		scr.slots = make([]groupSlot, size)
+	}
+	scr.gen++
+	if scr.gen == 0 {
+		clear(scr.slots)
+		scr.gen = 1
+	}
+	return scr.slots[:size], scr.gen, uint(64 - logSize)
 }

@@ -2,6 +2,8 @@ package ehdiall
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -141,5 +143,120 @@ func TestEstimatePackedValidation(t *testing.T) {
 	short := genotype.PackColumn(make([]genotype.Genotype, 5))
 	if _, err := EstimatePacked([]genotype.PackedColumn{short}, packed.AllMask(), Config{}, nil); err == nil {
 		t.Fatal("column/mask row mismatch accepted")
+	}
+}
+
+// refGroupPacked is the map-based reference of groupPacked: it reads
+// the columns row by row with PackedColumn.Get, skips unselected and
+// incomplete rows, and groups the rest by (base, hets) in
+// first-appearance order, with the per-site allele-2 tallies.
+func refGroupPacked(cols []genotype.PackedColumn, mask genotype.PlaneMask) ([]patternGroup, int, []int) {
+	idx := make(map[[2]uint32]int)
+	var groups []patternGroup
+	count2 := make([]int, len(cols))
+	n := 0
+rows:
+	for row := 0; row < mask.NumRows(); row++ {
+		if mask.Word(row/genotype.WordGenotypes)>>(2*uint(row%genotype.WordGenotypes))&1 == 0 {
+			continue
+		}
+		var base, hets uint32
+		for j, c := range cols {
+			switch c.Get(row) {
+			case genotype.Missing:
+				continue rows
+			case 1:
+				hets |= 1 << j
+			case 2:
+				base |= 1 << j
+			}
+		}
+		n++
+		for j := range cols {
+			count2[j] += int(base>>j&1)*2 + int(hets>>j&1)
+		}
+		key := [2]uint32{base, hets}
+		if gi, ok := idx[key]; ok {
+			groups[gi].count++
+			continue
+		}
+		idx[key] = len(groups)
+		groups = append(groups, patternGroup{base: base, hets: hets, count: 1})
+	}
+	return groups, n, count2
+}
+
+// requireReferenceGrouping runs groupPacked on scr and fails unless its
+// groups, order, row count and allele tallies equal the reference's.
+func requireReferenceGrouping(t *testing.T, tag string, cols []genotype.PackedColumn, mask genotype.PlaneMask, scr *Scratch) {
+	t.Helper()
+	wantGroups, wantN, wantCount2 := refGroupPacked(cols, mask)
+	groups, n := groupPacked(cols, mask, scr)
+	if n != wantN || len(groups) != len(wantGroups) {
+		t.Fatalf("%s: %d rows in %d groups, reference %d rows in %d groups", tag, n, len(groups), wantN, len(wantGroups))
+	}
+	for i := range groups {
+		if groups[i] != wantGroups[i] {
+			t.Fatalf("%s: group %d is %+v, reference %+v", tag, i, groups[i], wantGroups[i])
+		}
+	}
+	for j, c := range wantCount2 {
+		if scr.count2[j] != c {
+			t.Fatalf("%s: site %d allele-2 tally %d, reference %d", tag, j, scr.count2[j], c)
+		}
+	}
+}
+
+// TestGroupTableCorpus checks the flat grouping table against the
+// reference on every call of the fixed corpus, through one Scratch
+// whose generations run on from call to call.
+func TestGroupTableCorpus(t *testing.T) {
+	var scr Scratch
+	for i, c := range paperCorpus(t) {
+		requireReferenceGrouping(t, fmt.Sprintf("corpus case %d", i), c.cols, c.mask, &scr)
+	}
+}
+
+// TestGroupTableManyPatterns groups MaxSNPs random complete columns
+// over every row, so nearly every row is its own pattern, the table
+// runs close to half full and probes collide; the mask's row count
+// changes between calls on one Scratch, growing and shrinking the
+// table in use.
+func TestGroupTableManyPatterns(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var scr Scratch
+	for _, rows := range []int{1000, 37, 2500, 64, 1000} {
+		d := parityDataset(rng, rows, MaxSNPs, 0)
+		packed := genotype.PackDataset(d)
+		cols := make([]genotype.PackedColumn, MaxSNPs)
+		for j := range cols {
+			cols[j] = packed.Col(j)
+		}
+		requireReferenceGrouping(t, fmt.Sprintf("%d rows", rows), cols, packed.AllMask(), &scr)
+		if len(scr.groups) < rows*9/10 {
+			t.Fatalf("%d rows give only %d groups; the case does not load the table", rows, len(scr.groups))
+		}
+	}
+}
+
+// TestGroupTableGenerationWrap runs a call whose generation counter
+// wraps: the stamps of earlier calls must not read as occupied slots.
+func TestGroupTableGenerationWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	d := parityDataset(rng, 300, 8, 0.1)
+	packed := genotype.PackDataset(d)
+	var scr Scratch
+	for k := 1; k <= 8; k++ {
+		cols := make([]genotype.PackedColumn, k)
+		for j := range cols {
+			cols[j] = packed.Col(j)
+		}
+		requireReferenceGrouping(t, fmt.Sprintf("k=%d", k), cols, packed.AllMask(), &scr)
+		scr.gen = math.MaxUint32 - 1
+		requireReferenceGrouping(t, fmt.Sprintf("k=%d before the wrap", k), cols[:1], packed.AllMask(), &scr)
+		requireReferenceGrouping(t, fmt.Sprintf("k=%d at the wrap", k), cols, packed.AllMask(), &scr)
+		if scr.gen != 1 {
+			t.Fatalf("generation after the wrap is %d, want 1", scr.gen)
+		}
 	}
 }

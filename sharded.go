@@ -68,7 +68,9 @@ func NewShardedEngine(d *Dataset, stat Statistic, shardSize int, spillDir string
 		src.Close()
 		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
-	eng, err := engine.New(ev, engine.Options{Workers: workers, Fingerprint: d.Fingerprint()})
+	// The plan already holds the dataset's fingerprint (NewEvaluator
+	// checked it against d), so the genotypes are not hashed again.
+	eng, err := engine.New(ev, engine.Options{Workers: workers, Fingerprint: src.Plan().Parent})
 	if err != nil {
 		src.Close()
 		return nil, err
