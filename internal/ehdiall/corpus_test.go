@@ -90,10 +90,12 @@ func paperCorpus(tb testing.TB) []corpusCase {
 // point as estimateCore, for at most limit steps. It returns the final
 // log-likelihood, the E-step count and whether tol was met.
 func plainEstimate(c corpusCase, tol float64, limit int) (ll float64, steps int, converged bool) {
+	var plan estepPlan
+	plan.build(c.groups, c.k)
 	freqs := make([]float64, 1<<c.k)
 	h0Freqs(c.p2, freqs)
-	steps, converged = plainEM(c.groups, c.n, freqs, make([]float64, len(freqs)), tol, limit)
-	return logLik(c.groups, freqs), steps, converged
+	steps, converged = plainEM(&plan, c.n, freqs, make([]float64, len(freqs)), tol, limit)
+	return plan.logLik(freqs), steps, converged
 }
 
 // plainOutcome is the oracle's result on one corpus call.

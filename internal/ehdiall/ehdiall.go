@@ -20,7 +20,12 @@
 // A pattern with h heterozygous sites expands into 2^(h-1) unordered
 // haplotype pairs (one pair when h = 0), and the haplotype table is
 // 2^k, which is the genuine source of the paper's Figure 4: evaluation
-// cost grows exponentially with haplotype size.
+// cost grows exponentially with haplotype size. Each call compiles its
+// E-step once (estepPlan), the fixed counts of the patterns with a
+// single compatible pair and a flat pair list for every other pattern,
+// and runs it on every step. Every log-likelihood, the extrapolation
+// guard's included, is formed in one accumulator with a single
+// logarithm (llAcc).
 package ehdiall
 
 import (
@@ -181,17 +186,19 @@ func Estimate(patterns [][]genotype.Genotype, k int, cfg Config) (*Result, error
 
 // estimateCore is the single copy of the estimation arithmetic shared
 // by the byte path (Estimate) and the packed path (EstimatePacked):
-// H0 product frequencies, null log-likelihood, the EM ascent (plain
-// steps, then SQUAREM cycles) and the H1 log-likelihood. Both
-// front-ends produce identical groups in identical order and identical
-// p2 marginals, so sharing this code is what makes their Results
-// bit-identical. With a nil scratch every buffer (and the Result) is
-// freshly allocated; with a scratch the Result and its slices alias
-// scratch storage and stay valid only until the scratch's next use.
+// H0 product frequencies, the compiled E-step plan, null
+// log-likelihood, the EM ascent (plain steps, then SQUAREM cycles) and
+// the H1 log-likelihood. Both front-ends produce identical groups in
+// identical order and identical p2 marginals, so sharing this code is
+// what makes their Results bit-identical. With a nil scratch every
+// buffer (and the Result) is freshly allocated; with a scratch the
+// Result and its slices alias scratch storage and stay valid only
+// until the scratch's next use.
 func estimateCore(groups []patternGroup, n, k int, p2 []float64, cfg Config, scr *Scratch) *Result {
 	size := 1 << k
 	var res *Result
 	var nullFreqs, freqs, counts []float64
+	plan, sq := &estepPlan{}, &squaremBufs{}
 	if scr != nil {
 		scr.res = Result{K: k, N: n}
 		res = &scr.res
@@ -199,32 +206,30 @@ func estimateCore(groups []patternGroup, n, k int, p2 []float64, cfg Config, scr
 		scr.freqs = growFloats(scr.freqs, size)
 		scr.counts = growFloats(scr.counts, size)
 		nullFreqs, freqs, counts = scr.nullFreqs, scr.freqs, scr.counts
+		plan, sq = &scr.plan, &scr.sq
 	} else {
 		res = &Result{K: k, N: n}
 		nullFreqs = make([]float64, size)
 		freqs = make([]float64, size)
 		counts = make([]float64, size)
 	}
+	plan.build(groups, k)
 
 	h0Freqs(p2, nullFreqs)
 	res.NullFreqs = nullFreqs
-	res.NullLogLik = logLik(groups, nullFreqs)
+	res.NullLogLik = plan.logLik(nullFreqs)
 
 	// EM from the H0 point: plain EM steps first, then, for a call
 	// still short of Tol, SQUAREM cycles whose likelihood guard keeps
 	// the ascent monotone, so LL1 >= LL0 and hence LRT >= 0, the
 	// invariant the GA's fitness relies on.
 	copy(freqs, nullFreqs)
-	res.Iterations, res.Converged = plainEM(groups, n, freqs, counts, cfg.Tol, min(squaremAfter, cfg.MaxIter))
+	res.Iterations, res.Converged = plainEM(plan, n, freqs, counts, cfg.Tol, min(squaremAfter, cfg.MaxIter))
 	if !res.Converged && res.Iterations < cfg.MaxIter {
-		sq := &squaremBufs{}
-		if scr != nil {
-			sq = &scr.sq
-		}
-		res.Iterations, res.Converged = squarem(groups, n, freqs, counts, cfg, res.Iterations, sq)
+		res.Iterations, res.Converged = squarem(plan, n, freqs, counts, cfg, res.Iterations, sq)
 	}
 	res.Freqs = freqs
-	res.LogLik = logLik(groups, freqs)
+	res.LogLik = plan.logLik(freqs)
 	return res
 }
 
@@ -249,30 +254,29 @@ func h0Freqs(p2, dst []float64) {
 // returns the step count and whether tol was met. Production calls it
 // with limit squaremAfter; tests call it with MaxIter, as the oracle
 // the accelerated estimator is measured against.
-func plainEM(groups []patternGroup, n int, freqs, counts []float64, tol float64, limit int) (int, bool) {
+func plainEM(plan *estepPlan, n int, freqs, counts []float64, tol float64, limit int) (int, bool) {
 	for iter := 1; iter <= limit; iter++ {
-		if delta, _ := emStep(groups, n, freqs, freqs, counts, false); delta < tol {
+		if delta, _ := emStep(plan, n, freqs, freqs, counts, false); delta < tol {
 			return iter, true
 		}
 	}
 	return limit, false
 }
 
-// emStep is one EM step from f: the E-step distributes every pattern
-// group over its compatible haplotype pairs into counts, the M-step
-// writes the re-estimated frequencies into next, which may alias f.
-// It returns the L1 change of the step and, when withLL is set, the
-// log-likelihood at f, formed from the E-step's pattern probabilities
-// with logLik's arithmetic.
-func emStep(groups []patternGroup, n int, f, next, counts []float64, withLL bool) (delta, ll float64) {
-	for i := range counts {
-		counts[i] = 0
-	}
-	for _, g := range groups {
-		p := expectStep(g, f, counts)
-		if withLL {
-			ll += groupLogLik(g, p)
-		}
+// emStep is one EM step from f: the compiled E-step plan distributes
+// every pattern over its compatible haplotype pairs into counts, the
+// M-step writes the re-estimated frequencies into next, which may
+// alias f. It returns the L1 change of the step and, when withLL is
+// set, the log-likelihood at f, formed from the E-step's pattern
+// probabilities in one accumulator, so it equals plan.logLik(f) bit
+// for bit.
+func emStep(plan *estepPlan, n int, f, next, counts []float64, withLL bool) (delta, ll float64) {
+	if withLL {
+		acc := newLLAcc()
+		plan.eStep(f, counts, &acc)
+		ll = acc.value()
+	} else {
+		plan.eStep(f, counts, nil)
 	}
 	inv := 1 / (2 * float64(n))
 	for i := range next {
@@ -339,6 +343,8 @@ func groupPatterns(patterns [][]genotype.Genotype, k int) ([]patternGroup, int, 
 // factor). A homozygous pattern has the one pair {base, base}; with at
 // least one heterozygous site every pair is heterozygous, so the
 // probability is 2 x the half sum over the 2^(h-1) unordered pairs.
+// It is the definition Phase uses; the compiled E-step (estepPlan)
+// forms the same values bit for bit without re-deriving the pairs.
 func patternProb(g patternGroup, f []float64) float64 {
 	if g.hets&(g.hets-1) == 0 {
 		return onePairProb(g, f)
@@ -347,8 +353,7 @@ func patternProb(g patternGroup, f []float64) float64 {
 }
 
 // onePairProb is patternProb for zero or one heterozygous site, where
-// the pattern has the single pair {base, base|hets}. It is small enough
-// to inline into expectStep: these patterns dominate small k.
+// the pattern has the single pair {base, base|hets}.
 func onePairProb(g patternGroup, f []float64) float64 {
 	p := f[g.base] * f[g.base|g.hets]
 	if g.hets != 0 {
@@ -383,78 +388,4 @@ func multiPairProb(g patternGroup, f []float64) float64 {
 		s = (s - 1) & low
 	}
 	return 2 * (p0 + p1)
-}
-
-// expectStep adds the pattern group's expected haplotype copy counts
-// to counts, given current frequencies, and returns the pattern's
-// probability under them (patternProb). Each unordered compatible pair
-// {x, y} has posterior 2*f(x)*f(y)/total and gives a copy to both x
-// and y, so one scale 2*count/total per group replaces a division per
-// pair.
-func expectStep(g patternGroup, f, counts []float64) float64 {
-	if g.hets == 0 {
-		counts[g.base] += 2 * g.count
-		return onePairProb(g, f)
-	}
-	// patternProb, with its single-pair case inlined.
-	var total float64
-	if g.hets&(g.hets-1) == 0 {
-		total = onePairProb(g, f)
-	} else {
-		total = multiPairProb(g, f)
-	}
-	top, low := splitHets(g.hets)
-	hi := g.base | top
-	scale := 2 * g.count / total
-	if math.IsInf(scale, 1) {
-		// The pattern has probability 0 (all compatible pairs currently
-		// have zero frequency), or one so deep in the subnormal range
-		// that the scale overflows; spread uniformly so the EM can
-		// recover (matches EH behaviour on empty cells): every
-		// compatible haplotype is in one pair and gets 2*count/2^h.
-		w := 2 * g.count / float64(uint32(1)<<bits.OnesCount32(g.hets))
-		s := low
-		for {
-			counts[g.base|s] += w
-			counts[hi|(low^s)] += w
-			if s == 0 {
-				break
-			}
-			s = (s - 1) & low
-		}
-		return total
-	}
-	s := low
-	for {
-		x, y := g.base|s, hi|(low^s)
-		w := f[x] * f[y] * scale
-		counts[x] += w
-		counts[y] += w
-		if s == 0 {
-			break
-		}
-		s = (s - 1) & low
-	}
-	return total
-}
-
-// logLik returns the sample log-likelihood of the grouped patterns
-// under haplotype frequencies f.
-func logLik(groups []patternGroup, f []float64) float64 {
-	ll := 0.0
-	for _, g := range groups {
-		ll += groupLogLik(g, patternProb(g, f))
-	}
-	return ll
-}
-
-// groupLogLik is a pattern group's log-likelihood term given its
-// pattern probability p. Patterns with zero probability contribute a
-// large negative penalty instead of -Inf so that comparisons stay
-// ordered.
-func groupLogLik(g patternGroup, p float64) float64 {
-	if p <= 0 {
-		return g.count * -745 // ~log of smallest positive float64
-	}
-	return g.count * math.Log(p)
 }

@@ -16,13 +16,13 @@ import (
 )
 
 // Scratch holds the reusable buffers of one estimation worker: the
-// pattern-grouping table and groups, the EM's frequency and count
-// vectors and the SQUAREM cycle's vectors. A zero Scratch is ready to
-// use; buffers grow on demand and are retained across calls, making
-// repeated EstimatePacked calls allocation-free in steady state. A
-// Scratch must not be shared between concurrent estimations, and a
-// Result produced with a Scratch aliases its storage — it is valid
-// only until the scratch's next use.
+// pattern-grouping table and groups, the compiled E-step plan, the EM's
+// frequency and count vectors and the SQUAREM cycle's vectors. A zero
+// Scratch is ready to use; buffers grow on demand and are retained
+// across calls, making repeated EstimatePacked calls allocation-free
+// in steady state. A Scratch must not be shared between concurrent
+// estimations, and a Result produced with a Scratch aliases its
+// storage — it is valid only until the scratch's next use.
 type Scratch struct {
 	groups []patternGroup
 	p2     []float64
@@ -40,6 +40,9 @@ type Scratch struct {
 	hom2 [MaxSNPs]uint64
 	// Per-site allele-2 tallies over complete-case rows.
 	count2 [MaxSNPs]int
+
+	// plan is the call's E-step, compiled once after grouping.
+	plan estepPlan
 
 	nullFreqs, freqs, counts []float64
 	sq                       squaremBufs

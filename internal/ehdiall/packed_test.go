@@ -260,3 +260,35 @@ func TestGroupTableGenerationWrap(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkEstimateRows runs EstimatePacked on a warm Scratch over
+// 10,000 rows of independent uniform genotypes, at k = 2 (nine
+// patterns of about 1,100 rows each) and k = 6 (up to 729 patterns of
+// about 14). The EM converges in a few steps here, so the two
+// log-likelihoods are a large share of each call, and a pattern's count
+// decides whether llAcc multiplies its probability in or takes its
+// logarithm: this benchmark pins llMulMax.
+func BenchmarkEstimateRows(b *testing.B) {
+	const rows = 10000
+	for _, k := range []int{2, 6} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			d := parityDataset(rand.New(rand.NewSource(int64(k))), rows, k, 0)
+			packed := genotype.PackDataset(d)
+			cols := make([]genotype.PackedColumn, k)
+			for j := range cols {
+				cols[j] = packed.Col(j)
+			}
+			mask := genotype.NewPlaneMask(rows, nil)
+			var scr Scratch
+			if _, err := EstimatePacked(cols, mask, Config{}, &scr); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := EstimatePacked(cols, mask, Config{}, &scr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -43,14 +43,14 @@ func (b *squaremBufs) grow(size int) {
 // frequencies by less than Tol in L1, and every E-step counts toward
 // MaxIter. squarem writes the final point into freqs and returns the
 // E-step count and convergence.
-func squarem(groups []patternGroup, n int, freqs, counts []float64, cfg Config, steps int, b *squaremBufs) (int, bool) {
+func squarem(plan *estepPlan, n int, freqs, counts []float64, cfg Config, steps int, b *squaremBufs) (int, bool) {
 	b.grow(len(freqs))
 	t0 := freqs
 	// step runs one counted EM step; done reports convergence or an
 	// exhausted budget, with the step's output as the final point.
 	converged := false
 	step := func(from, to []float64, withLL bool) (ll float64, done bool) {
-		delta, ll := emStep(groups, n, from, to, counts, withLL)
+		delta, ll := emStep(plan, n, from, to, counts, withLL)
 		steps++
 		converged = delta < cfg.Tol
 		return ll, converged || steps >= cfg.MaxIter
