@@ -58,11 +58,8 @@ type cacheShard struct {
 	m  map[string]float64
 }
 
-func newShardedCache(shards int) *shardedCache {
-	if shards <= 0 {
-		shards = defaultShards
-	}
-	c := &shardedCache{shards: make([]cacheShard, shards)}
+func newShardedCache() *shardedCache {
+	c := &shardedCache{shards: make([]cacheShard, defaultShards)}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]float64)
 	}

@@ -17,9 +17,9 @@
 // cached sets are answered immediately, sets a concurrent batch is
 // already computing are joined in flight (singleflight: the follower
 // waits for that computation instead of repeating it), and only the
-// genuinely novel sets reach the workers. With the cache on, each
-// distinct haplotype is therefore computed at most once per engine,
-// across every batch that shares it.
+// genuinely novel sets reach the workers. Each distinct haplotype is
+// therefore computed at most once per engine, across every batch that
+// shares it.
 //
 // # Run queue
 //
@@ -44,7 +44,9 @@
 // share a key — and are evaluated in that canonical form, which is
 // also the form the Evaluator contract requires. The fingerprint
 // prefix keeps scores from different datasets apart even if a cache
-// were ever shared.
+// were ever shared. An inner evaluator that implements
+// KeyFingerprinter (the shard evaluator) supplies that prefix per site
+// set instead of the flat dataset fingerprint.
 //
 // The engine implements fitness.Evaluator, fitness.BatchEvaluator and
 // fitness.Reporter, so the GA in internal/core and the experiment

@@ -23,31 +23,22 @@ var ErrClosed = fmt.Errorf("engine: %w", fitness.ErrEvaluatorClosed)
 type Options struct {
 	// Workers is the goroutine pool size (0 = one per CPU).
 	Workers int
-	// CacheShards sets the shard count of the memoizing cache
-	// (0 = 64).
-	CacheShards int
-	// DisableCache turns memoization off; every request reaches the
-	// pipeline (in-batch duplicates are still coalesced).
-	DisableCache bool
 	// Fingerprint is mixed into every cache key; pass the dataset's
 	// genotype Fingerprint. New sets it automatically when the inner
 	// evaluator is a *fitness.Pipeline.
 	Fingerprint uint64
-	// KeyFingerprint, when non-nil, replaces the flat Fingerprint in
-	// cache keys with a per-evaluation digest of the given (canonical)
-	// site set — the hook a shard-aware evaluator uses to key the memo
-	// cache by fingerprint+range, so entries group by the shards they
-	// touch. It must be pure and safe for concurrent use; it selects
-	// keys only and never changes the values cached under them. New
-	// sets it automatically when the inner evaluator implements
-	// KeyFingerprinter.
-	KeyFingerprint func(sites []int) uint64
 }
 
 // KeyFingerprinter is implemented by inner evaluators that derive
 // their own cache-key fingerprint per site set (the shard-aware
-// evaluator); New adopts it as Options.KeyFingerprint automatically.
+// evaluator keys the memo cache by fingerprint+range, so entries
+// group by the shards they touch). When the inner evaluator
+// implements it, New uses it in place of Options.Fingerprint.
 type KeyFingerprinter interface {
+	// KeyFingerprint returns the cache-key fingerprint of a canonical
+	// site set. It must be pure and safe for concurrent use; it
+	// selects keys only and never changes the values cached under
+	// them.
 	KeyFingerprint(sites []int) uint64
 }
 
@@ -69,8 +60,7 @@ type flight struct {
 // runJob is one batch's leader misses on the engine's run queue. The
 // batch owns the tables; a worker that claims item i computes
 // sites[items[i]] and publishes it itself (slot, cache entry, flight),
-// and the last item to resolve closes done. keys and flights are nil
-// when the cache is disabled.
+// and the last item to resolve closes done.
 type runJob struct {
 	ctx     context.Context
 	items   []int
@@ -91,7 +81,7 @@ type runJob struct {
 type Engine struct {
 	inner       fitness.Evaluator
 	workers     int
-	cache       *shardedCache // nil when disabled
+	cache       *shardedCache
 	fingerprint uint64
 	keyFP       func(sites []int) uint64 // nil: use the flat fingerprint
 	start       time.Time
@@ -142,24 +132,19 @@ func New(inner fitness.Evaluator, opts Options) (*Engine, error) {
 			opts.Fingerprint = p.Dataset().Fingerprint()
 		}
 	}
-	if opts.KeyFingerprint == nil {
-		if kf, ok := inner.(KeyFingerprinter); ok {
-			opts.KeyFingerprint = kf.KeyFingerprint
-		}
-	}
 	e := &Engine{
 		inner:       inner,
 		workers:     opts.Workers,
+		cache:       newShardedCache(),
 		fingerprint: opts.Fingerprint,
-		keyFP:       opts.KeyFingerprint,
 		start:       time.Now(),
 		perWorker:   make([]atomic.Int64, opts.Workers),
 		inflight:    make(map[string]*flight),
 	}
-	e.qcond.L = &e.qmu
-	if !opts.DisableCache {
-		e.cache = newShardedCache(opts.CacheShards)
+	if kf, ok := inner.(KeyFingerprinter); ok {
+		e.keyFP = kf.KeyFingerprint
 	}
+	e.qcond.L = &e.qmu
 	for i := 0; i < opts.Workers; i++ {
 		e.wg.Add(1)
 		go e.worker(i)
@@ -280,25 +265,23 @@ func (e *Engine) dequeueLocked(q int) {
 	}
 }
 
-// publish resolves item i of j: the slot, then (with the cache on) the
-// cache entry for a value, the flight's outcome, its removal from the
-// in-flight table — cache before removal, so a batch that misses the
-// flight finds the value — and finally the followers' wake-up. The
-// last item of the job closes its done latch.
+// publish resolves item i of j: the slot, then the cache entry for a
+// value, the flight's outcome, its removal from the in-flight table —
+// cache before removal, so a batch that misses the flight finds the
+// value — and finally the followers' wake-up. The last item of the
+// job closes its done latch.
 func (e *Engine) publish(j *runJob, i int, v float64, err error) {
 	u := j.items[i]
 	j.slots[u] = slot{value: v, err: err}
-	if j.flights != nil {
-		if err == nil {
-			e.cache.set(j.keys[u], v)
-		}
-		f := j.flights[u]
-		f.value, f.err = v, err
-		e.flightMu.Lock()
-		delete(e.inflight, j.keys[u])
-		e.flightMu.Unlock()
-		close(f.done)
+	if err == nil {
+		e.cache.set(j.keys[u], v)
 	}
+	f := j.flights[u]
+	f.value, f.err = v, err
+	e.flightMu.Lock()
+	delete(e.inflight, j.keys[u])
+	e.flightMu.Unlock()
+	close(f.done)
 	if j.pending.Add(-1) == 0 {
 		close(j.done)
 	}
@@ -368,18 +351,14 @@ func (e *Engine) EvaluateBatchContext(ctx context.Context, batch [][]int) ([]flo
 		howCoalesced
 	)
 	how := make([]byte, len(unique))
-	var keys []string
-	var flights []*flight
-	if e.cache != nil {
-		keys = make([]string, len(unique))
-		flights = make([]*flight, len(unique))
-		for u, sites := range unique {
-			fp := e.fingerprint
-			if e.keyFP != nil {
-				fp = e.keyFP(sites)
-			}
-			keys[u] = cacheKey(fp, sites)
+	keys := make([]string, len(unique))
+	flights := make([]*flight, len(unique))
+	for u, sites := range unique {
+		fp := e.fingerprint
+		if e.keyFP != nil {
+			fp = e.keyFP(sites)
 		}
+		keys[u] = cacheKey(fp, sites)
 	}
 	pending := make([]int, len(unique))
 	for u := range pending {
@@ -389,15 +368,8 @@ func (e *Engine) EvaluateBatchContext(ctx context.Context, batch [][]int) ([]flo
 	var followers []int
 	for len(pending) > 0 {
 		leaders, followers = leaders[:0], followers[:0]
-		var fl []flight // this round's flights, one allocation
-		if e.cache != nil {
-			fl = make([]flight, len(pending))
-		}
+		fl := make([]flight, len(pending)) // this round's flights, one allocation
 		for n, u := range pending {
-			if e.cache == nil {
-				leaders = append(leaders, u)
-				continue
-			}
 			if v, ok := e.cache.get(keys[u]); ok {
 				uslots[u] = slot{value: v}
 				how[u] = howCached
@@ -506,19 +478,16 @@ func (e *Engine) Report() fitness.Report {
 		pw[i] = e.perWorker[i].Load()
 		computed += pw[i]
 	}
-	r := fitness.Report{
-		Requests:  e.requests.Load(),
-		Computed:  computed,
-		CacheHits: e.hits.Load(),
-		Coalesced: e.coalesced.Load(),
-		Workers:   e.workers,
-		PerWorker: pw,
-		Uptime:    time.Since(e.start),
+	return fitness.Report{
+		Requests:     e.requests.Load(),
+		Computed:     computed,
+		CacheHits:    e.hits.Load(),
+		Coalesced:    e.coalesced.Load(),
+		CacheEntries: e.cache.len(),
+		Workers:      e.workers,
+		PerWorker:    pw,
+		Uptime:       time.Since(e.start),
 	}
-	if e.cache != nil {
-		r.CacheEntries = e.cache.len()
-	}
-	return r
 }
 
 // Close stops the workers and waits for in-flight batches to drain.

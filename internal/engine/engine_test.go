@@ -84,19 +84,6 @@ func TestEngineCoalescesAndCaches(t *testing.T) {
 	}
 }
 
-func TestEngineDisableCache(t *testing.T) {
-	e, inner := newTestEngine(t, Options{Workers: 2, DisableCache: true})
-	batch := [][]int{{0, 1}, {2, 3}}
-	e.EvaluateBatch(batch)
-	e.EvaluateBatch(batch)
-	if got := inner.calls.Load(); got != 4 {
-		t.Fatalf("computed %d sets with cache disabled, want 4", got)
-	}
-	if r := e.Report(); r.CacheHits != 0 || r.CacheEntries != 0 {
-		t.Fatalf("cache counters %+v nonzero with cache disabled", r)
-	}
-}
-
 func TestCanonicalization(t *testing.T) {
 	// Unordered and duplicated sites evaluate like their canonical
 	// form and share its cache entry.

@@ -18,6 +18,8 @@ var ErrEvaluatorClosed = errors.New("fitness: evaluator closed")
 // synchronous-generation contract of the paper's master/slave model:
 // the call returns only when every item has been evaluated.
 type BatchEvaluator interface {
+	// EvaluateBatch scores every haplotype of batch and returns when
+	// all are done; results are positional.
 	EvaluateBatch(batch [][]int) (values []float64, errs []error)
 }
 
@@ -29,6 +31,8 @@ type BatchEvaluator interface {
 // let a cancelled GA generation unblock within one in-flight
 // evaluation per worker.
 type ContextBatchEvaluator interface {
+	// EvaluateBatchContext is EvaluateBatch that stops dispatching
+	// once ctx is cancelled; unstarted items report ctx's error.
 	EvaluateBatchContext(ctx context.Context, batch [][]int) (values []float64, errs []error)
 }
 
@@ -100,61 +104,4 @@ func Dedupe(batch [][]int) (unique [][]int, index []int) {
 		index[i] = j
 	}
 	return unique, index
-}
-
-// EvaluateBatch counts every item, then delegates with the inner
-// evaluator's own batching if present.
-func (c *Counting) EvaluateBatch(batch [][]int) ([]float64, []error) {
-	return c.EvaluateBatchContext(context.Background(), batch) //ldvet:allow ctxflow: BatchEvaluator compat seam; cancellable callers use EvaluateBatchContext
-}
-
-// EvaluateBatchContext counts every item, then delegates with the
-// inner evaluator's own (context-aware) batching if present, so
-// wrapping a cancellable backend keeps its cancellation bound.
-func (c *Counting) EvaluateBatchContext(ctx context.Context, batch [][]int) ([]float64, []error) {
-	c.n.Add(int64(len(batch)))
-	return EvaluateAllContext(ctx, c.inner, batch)
-}
-
-// EvaluateBatch serves hits from the cache and forwards only the
-// misses to the inner evaluator (as one inner batch).
-func (c *Cache) EvaluateBatch(batch [][]int) ([]float64, []error) {
-	return c.EvaluateBatchContext(context.Background(), batch) //ldvet:allow ctxflow: BatchEvaluator compat seam; cancellable callers use EvaluateBatchContext
-}
-
-// EvaluateBatchContext serves hits from the cache and forwards only
-// the misses to the inner evaluator (as one inner, context-aware
-// batch), so wrapping a cancellable backend keeps its cancellation
-// bound.
-func (c *Cache) EvaluateBatchContext(ctx context.Context, batch [][]int) ([]float64, []error) {
-	values := make([]float64, len(batch))
-	errs := make([]error, len(batch))
-	var missIdx []int
-	var missSites [][]int
-	c.mu.RLock()
-	for i, sites := range batch {
-		if v, ok := c.m[siteKey(sites)]; ok {
-			values[i] = v
-			c.hits.Add(1)
-		} else {
-			missIdx = append(missIdx, i)
-			missSites = append(missSites, sites)
-		}
-	}
-	c.mu.RUnlock()
-	if len(missIdx) == 0 {
-		return values, errs
-	}
-	mv, me := EvaluateAllContext(ctx, c.inner, missSites)
-	c.mu.Lock()
-	for j, i := range missIdx {
-		if me[j] != nil {
-			errs[i] = me[j]
-			continue
-		}
-		values[i] = mv[j]
-		c.m[siteKey(missSites[j])] = mv[j]
-	}
-	c.mu.Unlock()
-	return values, errs
 }

@@ -21,69 +21,3 @@ func TestEvaluateAllSerialFallback(t *testing.T) {
 		t.Fatalf("values = %v", values)
 	}
 }
-
-func TestCountingEvaluateBatch(t *testing.T) {
-	ev := Func(func(sites []int) (float64, error) { return 1, nil })
-	c := NewCounting(ev)
-	values, errs := c.EvaluateBatch([][]int{{1}, {2}, {3}})
-	if len(values) != 3 || len(errs) != 3 {
-		t.Fatal("batch shape wrong")
-	}
-	if c.Count() != 3 {
-		t.Fatalf("count = %d, want 3", c.Count())
-	}
-}
-
-func TestCacheEvaluateBatchMixedHitsAndErrors(t *testing.T) {
-	calls := 0
-	ev := Func(func(sites []int) (float64, error) {
-		calls++
-		if sites[0] == 7 {
-			return 0, fmt.Errorf("transient")
-		}
-		return float64(sites[0] * 10), nil
-	})
-	c := NewCache(ev)
-	// Warm one entry.
-	if _, err := c.Evaluate([]int{1}); err != nil {
-		t.Fatal(err)
-	}
-	values, errs := c.EvaluateBatch([][]int{{1}, {2}, {7}, {2}})
-	if errs[0] != nil || errs[1] != nil || errs[3] != nil {
-		t.Fatalf("errs = %v", errs)
-	}
-	if errs[2] == nil {
-		t.Fatal("failing item did not error")
-	}
-	if values[0] != 10 || values[1] != 20 || values[3] != 20 {
-		t.Fatalf("values = %v", values)
-	}
-	// {1} was cached (1 warm call), {2} appears twice in the batch but
-	// as misses both go to the inner evaluator in one batch, {7}
-	// errors and must not be cached.
-	if c.Len() != 2 {
-		t.Fatalf("cache len = %d, want 2 ({1} and {2})", c.Len())
-	}
-	if _, errs2 := c.EvaluateBatch([][]int{{7}}); errs2[0] == nil {
-		t.Fatal("error was cached")
-	}
-	// All-hits fast path.
-	before := calls
-	values, errs = c.EvaluateBatch([][]int{{1}, {2}})
-	if errs[0] != nil || errs[1] != nil || values[0] != 10 || values[1] != 20 {
-		t.Fatal("all-hit batch wrong")
-	}
-	if calls != before {
-		t.Fatal("all-hit batch called the inner evaluator")
-	}
-}
-
-func TestCacheHitsCounterViaBatch(t *testing.T) {
-	ev := Func(func(sites []int) (float64, error) { return 5, nil })
-	c := NewCache(ev)
-	c.EvaluateBatch([][]int{{1}})
-	c.EvaluateBatch([][]int{{1}, {1}})
-	if c.Hits() != 2 {
-		t.Fatalf("hits = %d, want 2", c.Hits())
-	}
-}

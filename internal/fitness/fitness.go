@@ -7,18 +7,16 @@
 //	  -> concatenation into a 2 x 2^k contingency table
 //	  -> CLUMP statistic = fitness
 //
-// The Evaluator interface decouples the GA from the pipeline, and the
-// decorators in this package supply the cross-cutting behaviours the
-// experiments need: thread-safe call counting (the paper's headline
-// cost metric), memoization, and injected latency that emulates the
-// 2004 cluster's per-evaluation cost for the speedup experiments.
+// The Evaluator interface decouples the GA from the pipeline. Latency
+// wraps an evaluator with injected delay that emulates the 2004
+// cluster's per-evaluation cost for the speedup experiments; counting
+// and memoization live in the evaluation engine (internal/engine).
 package fitness
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/clump"
@@ -31,6 +29,8 @@ import (
 // Evaluator scores a haplotype given as a strictly increasing slice of
 // SNP column indices. Implementations must be safe for concurrent use.
 type Evaluator interface {
+	// Evaluate returns the fitness of sites, or an error if sites is
+	// invalid or cannot be scored.
 	Evaluate(sites []int) (float64, error)
 }
 
@@ -45,9 +45,10 @@ func (f Func) Evaluate(sites []int) (float64, error) { return f(sites) }
 var ErrEmptyGroup = errors.New("fitness: a status group has no usable individuals at the selected sites")
 
 // Pipeline is the EH-DIALL -> CLUMP evaluation of Figure 3. It is
-// immutable after construction and safe for concurrent use. Evaluation
-// runs on the packed 2-bit genotype kernel; Details runs the byte
-// reference path, which is bit-identical.
+// immutable after construction and safe for concurrent use. Every
+// front-end (the resident dataset, the shard-aware evaluator) differs
+// only in how it gathers the selected packed columns; the estimation
+// and scoring body is this type's alone.
 type Pipeline struct {
 	data       *genotype.Dataset
 	affected   []int
@@ -55,10 +56,10 @@ type Pipeline struct {
 	stat       clump.Statistic
 	em         ehdiall.Config
 
-	// packed is the 2-bit column view of data; nil when the byte
-	// reference kernel was selected. The masks select the two status
-	// groups in packed row geometry.
-	packed          *genotype.Packed
+	// gather fills cols[i] with the packed column of sites[i]; nil
+	// selects the byte reference kernel. The masks select the two
+	// status groups in packed row geometry.
+	gather          func(sites []int, cols []genotype.PackedColumn) error
 	affMask, unMask genotype.PlaneMask
 
 	// scratch pools per-call buffers for Evaluate callers that do not
@@ -71,17 +72,55 @@ type Pipeline struct {
 // Unknown status are ignored, as in the paper's study. The statistic
 // selects which CLUMP value is the fitness (the paper uses the raw
 // chi-square T1 by default). Evaluation runs on the packed 2-bit
-// kernel, the only production path.
+// kernel over the whole dataset, packed once here.
 func NewPipeline(d *genotype.Dataset, stat clump.Statistic, em ehdiall.Config) (*Pipeline, error) {
-	return NewPipelineKernel(d, stat, em, true)
+	p, err := newPipeline(d, stat, em)
+	if err != nil {
+		return nil, err
+	}
+	packed := genotype.PackDataset(d)
+	p.gather = func(sites []int, cols []genotype.PackedColumn) error {
+		for i, s := range sites {
+			cols[i] = packed.Col(s)
+		}
+		return nil
+	}
+	return p, nil
+}
+
+// NewGatherPipeline is NewPipeline with a caller-supplied column
+// source: gather must fill cols[i] (len(cols) == len(sites)) with the
+// packed column of sites[i], in d's row geometry, and be safe for
+// concurrent use. The sites it sees have passed the pipeline's range
+// and order checks. This is how the shard-aware evaluator reads only
+// the shards a haplotype touches while sharing every other step.
+func NewGatherPipeline(d *genotype.Dataset, stat clump.Statistic, em ehdiall.Config, gather func(sites []int, cols []genotype.PackedColumn) error) (*Pipeline, error) {
+	if gather == nil {
+		return nil, fmt.Errorf("fitness: nil gather")
+	}
+	p, err := newPipeline(d, stat, em)
+	if err != nil {
+		return nil, err
+	}
+	p.gather = gather
+	return p, nil
 }
 
 // NewPipelineKernel is NewPipeline with an explicit kernel choice:
 // packed selects the 2-bit popcount kernel, false the
 // byte-per-genotype reference implementation. The two produce
-// bit-identical fitness values; the byte kernel is the oracle of the
+// bit-identical results; the byte kernel is the oracle of the
 // differential tests and the benchmark, never a production path.
 func NewPipelineKernel(d *genotype.Dataset, stat clump.Statistic, em ehdiall.Config, packed bool) (*Pipeline, error) {
+	if packed {
+		return NewPipeline(d, stat, em)
+	}
+	return newPipeline(d, stat, em)
+}
+
+// newPipeline validates the inputs and builds a pipeline without a
+// gather, that is, on the byte reference kernel.
+func newPipeline(d *genotype.Dataset, stat clump.Statistic, em ehdiall.Config) (*Pipeline, error) {
 	if d == nil {
 		return nil, fmt.Errorf("fitness: nil dataset")
 	}
@@ -93,18 +132,12 @@ func NewPipelineKernel(d *genotype.Dataset, stat clump.Statistic, em ehdiall.Con
 	if len(aff) == 0 || len(un) == 0 {
 		return nil, fmt.Errorf("fitness: dataset needs both affected and unaffected individuals (have %d/%d)", len(aff), len(un))
 	}
-	p := &Pipeline{data: d, affected: aff, unaffected: un, stat: stat, em: em}
-	if packed {
-		p.packed = genotype.PackDataset(d)
-		p.affMask = genotype.NewPlaneMask(d.NumIndividuals(), aff)
-		p.unMask = genotype.NewPlaneMask(d.NumIndividuals(), un)
-	}
-	return p, nil
+	return &Pipeline{
+		data: d, affected: aff, unaffected: un, stat: stat, em: em,
+		affMask: genotype.NewPlaneMask(d.NumIndividuals(), aff),
+		unMask:  genotype.NewPlaneMask(d.NumIndividuals(), un),
+	}, nil
 }
-
-// PackedKernel reports whether the pipeline evaluates on the packed
-// 2-bit kernel (true) or the byte reference kernel (false).
-func (p *Pipeline) PackedKernel() bool { return p.packed != nil }
 
 // NumSNPs returns the number of SNP columns available to haplotypes.
 func (p *Pipeline) NumSNPs() int { return p.data.NumSNPs() }
@@ -132,15 +165,43 @@ func (p *Pipeline) checkSites(sites []int) error {
 	return nil
 }
 
+// estimate runs the first steps of Figure 3 on scr: check the sites,
+// gather their columns and run EH-DIALL once per status group. The
+// returned Results alias scr's storage. A group without a usable
+// individual is ErrEmptyGroup.
+func (p *Pipeline) estimate(sites []int, scr *Scratch) (aff, un *ehdiall.Result, err error) {
+	if err := p.checkSites(sites); err != nil {
+		return nil, nil, err
+	}
+	if p.gather == nil {
+		aff, err = ehdiall.EstimateDataset(p.data, p.affected, sites, p.em)
+		if err == nil {
+			un, err = ehdiall.EstimateDataset(p.data, p.unaffected, sites, p.em)
+		}
+	} else {
+		if cap(scr.PackedCols) < len(sites) {
+			scr.PackedCols = make([]genotype.PackedColumn, len(sites))
+		}
+		scr.PackedCols = scr.PackedCols[:len(sites)]
+		if err := p.gather(sites, scr.PackedCols); err != nil {
+			return nil, nil, err
+		}
+		aff, err = ehdiall.EstimatePacked(scr.PackedCols, p.affMask, p.em, &scr.Aff)
+		if err == nil {
+			un, err = ehdiall.EstimatePacked(scr.PackedCols, p.unMask, p.em, &scr.Un)
+		}
+	}
+	if errors.Is(err, ehdiall.ErrNoData) {
+		err = ErrEmptyGroup
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return aff, un, nil
+}
+
 // Evaluate runs the full pipeline and returns the CLUMP statistic.
 func (p *Pipeline) Evaluate(sites []int) (float64, error) {
-	if p.packed == nil {
-		det, err := p.Details(sites)
-		if err != nil {
-			return 0, err
-		}
-		return det.Fitness, nil
-	}
 	scr, _ := p.scratch.Get().(*Scratch)
 	if scr == nil {
 		scr = NewScratch()
@@ -151,41 +212,13 @@ func (p *Pipeline) Evaluate(sites []int) (float64, error) {
 
 // EvaluateScratch is Evaluate using caller-held scratch buffers — the
 // engine's per-worker hot path. On the packed kernel the steady state
-// allocates nothing per call; on the byte reference kernel it simply
-// runs the allocating Details path.
+// allocates nothing per call.
 func (p *Pipeline) EvaluateScratch(sites []int, scr *Scratch) (float64, error) {
-	if p.packed == nil {
-		det, err := p.Details(sites)
-		if err != nil {
-			return 0, err
-		}
-		return det.Fitness, nil
-	}
-	if err := p.checkSites(sites); err != nil {
-		return 0, err
-	}
-	if cap(scr.PackedCols) < len(sites) {
-		scr.PackedCols = make([]genotype.PackedColumn, len(sites))
-	}
-	scr.PackedCols = scr.PackedCols[:len(sites)]
-	for i, s := range sites {
-		scr.PackedCols[i] = p.packed.Col(s)
-	}
-	affRes, err := ehdiall.EstimatePacked(scr.PackedCols, p.affMask, p.em, &scr.Aff)
+	aff, un, err := p.estimate(sites, scr)
 	if err != nil {
-		if errors.Is(err, ehdiall.ErrNoData) {
-			return 0, ErrEmptyGroup
-		}
 		return 0, err
 	}
-	unRes, err := ehdiall.EstimatePacked(scr.PackedCols, p.unMask, p.em, &scr.Un)
-	if err != nil {
-		if errors.Is(err, ehdiall.ErrNoData) {
-			return 0, ErrEmptyGroup
-		}
-		return 0, err
-	}
-	return scr.Score(affRes, unRes, p.stat)
+	return scr.Score(aff, un, p.stat)
 }
 
 // Details carries the intermediate products of one evaluation, used by
@@ -202,24 +235,12 @@ type Details struct {
 
 // Details runs the pipeline and returns all intermediate results.
 func (p *Pipeline) Details(sites []int) (*Details, error) {
-	if err := p.checkSites(sites); err != nil {
-		return nil, err
-	}
-	affRes, err := ehdiall.EstimateDataset(p.data, p.affected, sites, p.em)
+	// A fresh scratch, because the returned Results alias its storage.
+	aff, un, err := p.estimate(sites, NewScratch())
 	if err != nil {
-		if errors.Is(err, ehdiall.ErrNoData) {
-			return nil, ErrEmptyGroup
-		}
 		return nil, err
 	}
-	unRes, err := ehdiall.EstimateDataset(p.data, p.unaffected, sites, p.em)
-	if err != nil {
-		if errors.Is(err, ehdiall.ErrNoData) {
-			return nil, ErrEmptyGroup
-		}
-		return nil, err
-	}
-	table, err := ConcatTable(affRes, unRes)
+	table, err := ConcatTable(aff, un)
 	if err != nil {
 		return nil, err
 	}
@@ -229,8 +250,8 @@ func (p *Pipeline) Details(sites []int) (*Details, error) {
 	}
 	return &Details{
 		Fitness:    cres.Get(p.stat),
-		Affected:   affRes,
-		Unaffected: unRes,
+		Affected:   aff,
+		Unaffected: un,
 		Clump:      cres,
 	}, nil
 }
@@ -238,18 +259,11 @@ func (p *Pipeline) Details(sites []int) (*Details, error) {
 // MonteCarloP runs CLUMP's Monte-Carlo significance test on the
 // concatenated table of the given haplotype.
 func (p *Pipeline) MonteCarloP(sites []int, replicates int, src *rng.RNG) (clump.PValues, error) {
-	if err := p.checkSites(sites); err != nil {
-		return clump.PValues{}, err
-	}
-	affRes, err := ehdiall.EstimateDataset(p.data, p.affected, sites, p.em)
+	aff, un, err := p.estimate(sites, NewScratch())
 	if err != nil {
 		return clump.PValues{}, err
 	}
-	unRes, err := ehdiall.EstimateDataset(p.data, p.unaffected, sites, p.em)
-	if err != nil {
-		return clump.PValues{}, err
-	}
-	table, err := ConcatTable(affRes, unRes)
+	table, err := ConcatTable(aff, un)
 	if err != nil {
 		return clump.PValues{}, err
 	}
@@ -273,47 +287,10 @@ func ConcatTable(aff, un *ehdiall.Result) (*stats.Table, error) {
 	return t, nil
 }
 
-// Counting wraps an evaluator and counts calls atomically. The paper
-// reports "number of evaluations" as its primary cost metric because
-// each evaluation is expensive; this decorator is how every experiment
-// measures it.
-type Counting struct {
-	inner Evaluator
-	n     atomic.Int64
-}
-
-// NewCounting wraps an evaluator with a call counter.
-func NewCounting(inner Evaluator) *Counting { return &Counting{inner: inner} }
-
-// Evaluate delegates and increments the counter (also on error).
-func (c *Counting) Evaluate(sites []int) (float64, error) {
-	c.n.Add(1)
-	return c.inner.Evaluate(sites)
-}
-
-// Count returns the number of Evaluate calls so far.
-func (c *Counting) Count() int64 { return c.n.Load() }
-
-// Reset zeroes the counter.
-func (c *Counting) Reset() { c.n.Store(0) }
-
-// Cache memoizes evaluations by SNP set. It is safe for concurrent
-// use. Errors are not cached.
-type Cache struct {
-	inner Evaluator
-	mu    sync.RWMutex
-	m     map[string]float64
-	hits  atomic.Int64
-}
-
-// NewCache wraps an evaluator with a memoization layer.
-func NewCache(inner Evaluator) *Cache {
-	return &Cache{inner: inner, m: make(map[string]float64)}
-}
-
+// siteKey is the positional identity of a site set, four bytes per
+// site: enough for the >10^5-SNP studies the roadmap targets, where
+// two bytes would silently alias columns.
 func siteKey(sites []int) string {
-	// Four bytes per site: enough for the >10^5-SNP studies the
-	// roadmap targets, where two bytes would silently alias columns.
 	b := make([]byte, 4*len(sites))
 	for i, s := range sites {
 		b[4*i] = byte(s >> 24)
@@ -322,36 +299,6 @@ func siteKey(sites []int) string {
 		b[4*i+3] = byte(s)
 	}
 	return string(b)
-}
-
-// Evaluate returns the memoized value when available.
-func (c *Cache) Evaluate(sites []int) (float64, error) {
-	key := siteKey(sites)
-	c.mu.RLock()
-	v, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		return v, nil
-	}
-	v, err := c.inner.Evaluate(sites)
-	if err != nil {
-		return 0, err
-	}
-	c.mu.Lock()
-	c.m[key] = v
-	c.mu.Unlock()
-	return v, nil
-}
-
-// Hits returns the number of cache hits so far.
-func (c *Cache) Hits() int64 { return c.hits.Load() }
-
-// Len returns the number of memoized entries.
-func (c *Cache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
 }
 
 // Latency wraps an evaluator and sleeps a fixed duration per call,

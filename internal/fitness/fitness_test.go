@@ -2,7 +2,6 @@ package fitness
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -212,12 +211,24 @@ func TestEmptyGroupError(t *testing.T) {
 			{ID: "3", Status: genotype.Unaffected, Genotypes: []genotype.Genotype{1, 1}},
 		},
 	}
-	p, err := NewPipeline(d, clump.T1, ehdiall.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Evaluate([]int{0}); !errors.Is(err, ErrEmptyGroup) {
-		t.Fatalf("err = %v, want ErrEmptyGroup", err)
+	for _, packed := range []bool{true, false} {
+		p, err := NewPipelineKernel(d, clump.T1, ehdiall.Config{}, packed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := map[string]func() error{
+			"Evaluate": func() error { _, err := p.Evaluate([]int{0}); return err },
+			"Details":  func() error { _, err := p.Details([]int{0}); return err },
+			"MonteCarloP": func() error {
+				_, err := p.MonteCarloP([]int{0}, 10, rng.New(1))
+				return err
+			},
+		}
+		for name, call := range calls {
+			if err := call(); !errors.Is(err, ErrEmptyGroup) {
+				t.Errorf("packed=%v %s: err = %v, want ErrEmptyGroup", packed, name, err)
+			}
+		}
 	}
 }
 
@@ -258,104 +269,6 @@ func TestMonteCarloPOnCausal(t *testing.T) {
 	}
 }
 
-func TestCountingDecorator(t *testing.T) {
-	calls := 0
-	ev := Func(func(sites []int) (float64, error) {
-		calls++
-		return float64(len(sites)), nil
-	})
-	c := NewCounting(ev)
-	for i := 0; i < 5; i++ {
-		if _, err := c.Evaluate([]int{1, 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Count() != 5 || calls != 5 {
-		t.Fatalf("count = %d, calls = %d", c.Count(), calls)
-	}
-	c.Reset()
-	if c.Count() != 0 {
-		t.Fatal("Reset did not zero the counter")
-	}
-}
-
-func TestCountingCountsErrors(t *testing.T) {
-	ev := Func(func(sites []int) (float64, error) { return 0, fmt.Errorf("boom") })
-	c := NewCounting(ev)
-	if _, err := c.Evaluate([]int{1}); err == nil {
-		t.Fatal("error swallowed")
-	}
-	if c.Count() != 1 {
-		t.Fatal("failed evaluation not counted")
-	}
-}
-
-func TestCacheDecorator(t *testing.T) {
-	var calls atomic64
-	ev := Func(func(sites []int) (float64, error) {
-		calls.add(1)
-		return float64(sites[0]), nil
-	})
-	c := NewCache(ev)
-	for i := 0; i < 4; i++ {
-		v, err := c.Evaluate([]int{7, 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != 7 {
-			t.Fatalf("cached value = %v", v)
-		}
-	}
-	if calls.load() != 1 {
-		t.Fatalf("inner called %d times, want 1", calls.load())
-	}
-	if c.Hits() != 3 || c.Len() != 1 {
-		t.Fatalf("hits = %d, len = %d", c.Hits(), c.Len())
-	}
-	// Distinct site sets must not collide.
-	if v, _ := c.Evaluate([]int{9, 7<<8 | 9}); v == 7 && c.Len() == 1 {
-		t.Fatal("cache key collision between distinct site sets")
-	}
-}
-
-func TestCacheDoesNotCacheErrors(t *testing.T) {
-	fail := true
-	ev := Func(func(sites []int) (float64, error) {
-		if fail {
-			return 0, fmt.Errorf("transient")
-		}
-		return 42, nil
-	})
-	c := NewCache(ev)
-	if _, err := c.Evaluate([]int{1}); err == nil {
-		t.Fatal("error swallowed")
-	}
-	fail = false
-	v, err := c.Evaluate([]int{1})
-	if err != nil || v != 42 {
-		t.Fatalf("recovery failed: %v, %v", v, err)
-	}
-}
-
-func TestCacheConcurrent(t *testing.T) {
-	p := newPaperPipeline(t, 10)
-	c := NewCache(p)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sites := []int{i % 4, 10 + i%3, 30}
-			for j := 0; j < 20; j++ {
-				if _, err := c.Evaluate(sites); err != nil {
-					t.Error(err)
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-}
-
 func TestLatencyDecorator(t *testing.T) {
 	ev := Func(func(sites []int) (float64, error) { return 1, nil })
 	l := NewLatency(ev, 20*time.Millisecond)
@@ -376,16 +289,6 @@ func TestLatencyDecorator(t *testing.T) {
 		t.Fatalf("zero latency slept: %v", el)
 	}
 }
-
-// atomic64 is a tiny test helper avoiding importing sync/atomic
-// everywhere in the test file.
-type atomic64 struct {
-	mu sync.Mutex
-	v  int64
-}
-
-func (a *atomic64) add(d int64) { a.mu.Lock(); a.v += d; a.mu.Unlock() }
-func (a *atomic64) load() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.v }
 
 // Figure 4's exponential growth of evaluation cost with haplotype
 // size, measured on the real pipeline.

@@ -2,6 +2,7 @@ package fitness
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -55,8 +56,8 @@ func fuzzDataset(seed int64, rows, snps, missPct uint8) *genotype.Dataset {
 // against the byte reference implementation: for random datasets
 // (dimensions, missing-rate, monomorphic and all-missing columns),
 // every CLUMP statistic, and random SNP subsets, both kernels must
-// return bit-for-bit identical fitness values and agree on every
-// error.
+// return bit-for-bit identical fitness values and Details and agree
+// on every error.
 func FuzzPackedVsByte(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(6), uint8(20), uint8(0), int64(11))
 	f.Add(int64(2), uint8(96), uint8(12), uint8(0), uint8(1), int64(12))
@@ -102,6 +103,59 @@ func FuzzPackedVsByte(f *testing.F) {
 			if serr != nil || math.Float64bits(sv) != math.Float64bits(pv) {
 				t.Fatalf("sites %v stat %v: EvaluateScratch %v/%v != Evaluate %v", sites, stat, sv, serr, pv)
 			}
+			// Details runs on both kernels: every per-group estimate
+			// and CLUMP statistic must match, and its Fitness (the
+			// allocating ConcatTable + clump.Statistics tail) must
+			// equal Evaluate's scratch-backed Score.
+			pd, perr := packed.Details(sites)
+			bd, berr := byteRef.Details(sites)
+			if perr != nil || berr != nil {
+				t.Fatalf("sites %v stat %v: Details errors %v / %v after Evaluate succeeded", sites, stat, perr, berr)
+			}
+			if msg := diffDetails(pd, bd); msg != "" {
+				t.Fatalf("sites %v stat %v: packed vs byte Details: %s", sites, stat, msg)
+			}
+			if math.Float64bits(pd.Fitness) != math.Float64bits(pv) {
+				t.Fatalf("sites %v stat %v: Details.Fitness %v != Evaluate %v", sites, stat, pd.Fitness, pv)
+			}
 		}
 	})
+}
+
+// diffDetails describes the first difference between two Details —
+// each group's N, K, Freqs, LogLik, NullLogLik, Iterations and
+// Converged, the CLUMP result, and Fitness, floats compared bit for
+// bit — or returns "" when they are identical.
+func diffDetails(a, b *Details) string {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for _, g := range []struct {
+		name string
+		x, y *ehdiall.Result
+	}{{"affected", a.Affected, b.Affected}, {"unaffected", a.Unaffected, b.Unaffected}} {
+		x, y := g.x, g.y
+		if x.N != y.N || x.K != y.K || x.Iterations != y.Iterations || x.Converged != y.Converged {
+			return fmt.Sprintf("%s: N/K/Iterations/Converged %d/%d/%d/%v vs %d/%d/%d/%v",
+				g.name, x.N, x.K, x.Iterations, x.Converged, y.N, y.K, y.Iterations, y.Converged)
+		}
+		if !same(x.LogLik, y.LogLik) || !same(x.NullLogLik, y.NullLogLik) {
+			return fmt.Sprintf("%s: LogLik/NullLogLik %v/%v vs %v/%v", g.name, x.LogLik, x.NullLogLik, y.LogLik, y.NullLogLik)
+		}
+		if len(x.Freqs) != len(y.Freqs) {
+			return fmt.Sprintf("%s: %d vs %d Freqs", g.name, len(x.Freqs), len(y.Freqs))
+		}
+		for h := range x.Freqs {
+			if !same(x.Freqs[h], y.Freqs[h]) {
+				return fmt.Sprintf("%s: Freqs[%d] %v vs %v", g.name, h, x.Freqs[h], y.Freqs[h])
+			}
+		}
+	}
+	c, d := a.Clump, b.Clump
+	if !same(c.T1, d.T1) || !same(c.T2, d.T2) || !same(c.T3, d.T3) || !same(c.T4, d.T4) ||
+		!same(c.AA, d.AA) || c.DF1 != d.DF1 || c.DF2 != d.DF2 {
+		return fmt.Sprintf("clump %+v vs %+v", c, d)
+	}
+	if !same(a.Fitness, b.Fitness) {
+		return fmt.Sprintf("fitness %v vs %v", a.Fitness, b.Fitness)
+	}
+	return ""
 }

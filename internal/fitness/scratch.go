@@ -10,10 +10,10 @@ import (
 )
 
 // ScratchEvaluator is implemented by evaluators whose hot path can run
-// against caller-held scratch buffers — the packed Pipeline and the
-// shard-aware evaluator. The engine gives each worker goroutine one
-// Scratch and routes every job through EvaluateScratch, making the
-// steady-state batch path allocation-free per candidate.
+// against caller-held scratch buffers — the Pipeline, and so the
+// shard-aware evaluator built on it. The engine gives each worker
+// goroutine one Scratch and routes every job through EvaluateScratch,
+// making the steady-state batch path allocation-free per candidate.
 type ScratchEvaluator interface {
 	Evaluator
 	// EvaluateScratch is Evaluate using scr's buffers. scr must not
@@ -50,8 +50,8 @@ func NewScratch() *Scratch { return &Scratch{} }
 // Score runs the shared tail of the Figure 3 pipeline on scr's
 // buffers: concatenate the two per-group EH-DIALL estimations into the
 // 2 x 2^k contingency table and return the selected CLUMP statistic.
-// Every packed front-end (the monolithic Pipeline and the shard-aware
-// evaluator) ends here, so both produce bit-identical values.
+// It is the tail of Pipeline.EvaluateScratch, whatever the column
+// source.
 func (s *Scratch) Score(aff, un *ehdiall.Result, stat clump.Statistic) (float64, error) {
 	if aff.K != un.K {
 		return 0, fmt.Errorf("fitness: group estimations disagree on k: %d vs %d", aff.K, un.K)

@@ -75,8 +75,8 @@ func (r Report) WorkerThroughput() float64 {
 }
 
 // Reporter is implemented by evaluation backends that track their
-// counters (the native engine does; the decorators in this package
-// expose the same numbers piecemeal).
+// counters (the native engine does).
 type Reporter interface {
+	// Report returns the backend's cumulative counters.
 	Report() Report
 }

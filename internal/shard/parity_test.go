@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/clump"
@@ -34,9 +35,10 @@ func windowsUpTo(n int) [][]int {
 
 // TestEvaluatorParity proves the headline invariant: the sharded
 // packed evaluator returns bit-identical values to the byte reference
-// pipeline (the test oracle) for every statistic (including AA), over
-// both in-memory and spill-backed sources, including the
-// boundary-spanning site sets of windowsUpTo.
+// pipeline (the test oracle) and the same Details as the monolithic
+// pipeline for every statistic (including AA), over both in-memory and
+// spill-backed sources, including the boundary-spanning site sets of
+// windowsUpTo.
 func TestEvaluatorParity(t *testing.T) {
 	d := testDataset(t, 51)
 	sources := map[string]func() (Source, error){
@@ -45,6 +47,10 @@ func TestEvaluatorParity(t *testing.T) {
 	}
 	for _, stat := range clump.All() {
 		oracle, err := fitness.NewPipelineKernel(d, stat, ehdiall.Config{}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mono, err := fitness.NewPipeline(d, stat, ehdiall.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,6 +71,14 @@ func TestEvaluatorParity(t *testing.T) {
 				}
 				if werr == nil && math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s/%v sites %v: sharded %v != byte oracle %v", name, stat, w, got, want)
+				}
+				wantD, werr := mono.Details(w)
+				gotD, gerr := ev.Details(w)
+				if (werr == nil) != (gerr == nil) {
+					t.Fatalf("%s/%v sites %v: Details err %v vs %v", name, stat, w, werr, gerr)
+				}
+				if werr == nil && !reflect.DeepEqual(gotD, wantD) {
+					t.Fatalf("%s/%v sites %v: sharded Details %+v != monolithic %+v", name, stat, w, gotD, wantD)
 				}
 			}
 			src.Close()

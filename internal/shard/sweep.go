@@ -72,11 +72,14 @@ type Checkpoint struct {
 	// Parent is the dataset fingerprint, 16 hex digits.
 	Parent string `json:"parent"`
 	// NumSNPs, Rows and ShardSize pin the plan.
-	NumSNPs   int `json:"num_snps"`
-	Rows      int `json:"rows"`
+	NumSNPs int `json:"num_snps"`
+	// Rows is the plan's individual count.
+	Rows int `json:"rows"`
+	// ShardSize is the plan's SNP columns per shard.
 	ShardSize int `json:"shard_size"`
 	// Size and Stride pin the window set.
-	Size   int `json:"size"`
+	Size int `json:"size"`
+	// Stride is the sweep's anchor step.
 	Stride int `json:"stride"`
 	// Completed holds one entry per finished shard, in completion
 	// order.
@@ -114,7 +117,9 @@ func (c *Checkpoint) Matches(plan Plan, cfg SweepConfig) bool {
 // concurrent writers' Completed sets rather than losing either (see
 // MergeCompleted). RunSweep calls Load once, then Save serially.
 type Sink interface {
+	// Load returns the previous checkpoint, or nil when none exists.
 	Load() (*Checkpoint, error)
+	// Save persists cp; RunSweep calls it after each completed shard.
 	Save(cp *Checkpoint) error
 }
 
@@ -164,20 +169,25 @@ type SweepStatus struct {
 type SweepResult struct {
 	// ShardSize and Size/Stride echo the effective configuration.
 	ShardSize int `json:"shard_size"`
-	Size      int `json:"size"`
-	Stride    int `json:"stride"`
+	// Size is the window width in SNPs.
+	Size int `json:"size"`
+	// Stride is the step between window anchors.
+	Stride int `json:"stride"`
 	// Shards is the plan's shard count; Done the number completed.
 	Shards int `json:"shards"`
-	Done   int `json:"done"`
+	// Done counts completed shards, resumed ones included.
+	Done int `json:"done"`
 	// Resumed counts shards restored from the checkpoint instead of
 	// being evaluated in this life.
 	Resumed int `json:"resumed"`
 	// TotalWindows sums Windows over completed shards; Evaluated
 	// counts windows actually evaluated in this life; Errored the
 	// skipped ones.
-	TotalWindows int   `json:"total_windows"`
-	Evaluated    int64 `json:"evaluated"`
-	Errored      int   `json:"errored,omitempty"`
+	TotalWindows int `json:"total_windows"`
+	// Evaluated counts windows evaluated in this life.
+	Evaluated int64 `json:"evaluated"`
+	// Errored counts windows skipped with ErrEmptyGroup.
+	Errored int `json:"errored,omitempty"`
 	// Best is the best window across all completed shards (Best.Best
 	// nil when nothing scored).
 	Best ShardResult `json:"best"`

@@ -31,7 +31,6 @@ type SweepResult = shard.SweepResult
 type ShardedEngine struct {
 	*NativeEngine
 	src shard.Source
-	ev  *shard.Evaluator
 }
 
 // Plan returns the engine's shard partitioning.
@@ -75,7 +74,7 @@ func NewShardedEngine(d *Dataset, stat Statistic, shardSize int, spillDir string
 		src.Close()
 		return nil, err
 	}
-	return &ShardedEngine{NativeEngine: eng, src: src, ev: ev}, nil
+	return &ShardedEngine{NativeEngine: eng, src: src}, nil
 }
 
 var _ ParallelEvaluator = (*ShardedEngine)(nil)
