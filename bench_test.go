@@ -382,7 +382,7 @@ func BenchmarkPackedKernel(b *testing.B) {
 		// once, as every consumer holds it; the byte side gets its row
 		// selection prebuilt so neither arm allocates in the loop.
 		p := genotype.PackDataset(d)
-		mask := p.AllMask()
+		mask := genotype.NewPlaneMask(d.NumIndividuals(), nil)
 		rows := make([]int, d.NumIndividuals())
 		for i := range rows {
 			rows[i] = i

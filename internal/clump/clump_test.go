@@ -9,11 +9,17 @@ import (
 	"repro/internal/stats"
 )
 
+// mustTable builds a table from equal-length rows.
 func mustTable(t *testing.T, rows [][]float64) *stats.Table {
 	t.Helper()
-	tab, err := stats.TableFromRows(rows)
-	if err != nil {
-		t.Fatal(err)
+	tab := stats.NewTable(len(rows), len(rows[0]))
+	for i, row := range rows {
+		if len(row) != tab.Cols() {
+			t.Fatalf("ragged table row %d", i)
+		}
+		for j, v := range row {
+			tab.Set(i, j, v)
+		}
 	}
 	return tab
 }

@@ -21,15 +21,6 @@ func Binomial(n, k int) *big.Int {
 	return new(big.Int).Binomial(int64(n), int64(k))
 }
 
-// BinomialFloat returns C(n, k) as a float64, computed in log space so
-// it is usable far beyond int64 range (with float64 precision).
-func BinomialFloat(n, k int) float64 {
-	if k < 0 || k > n || n < 0 {
-		return 0
-	}
-	return math.Exp(LogBinomial(n, k))
-}
-
 // LogBinomial returns ln C(n, k). It returns -Inf when C(n,k) = 0.
 func LogBinomial(n, k int) float64 {
 	if k < 0 || k > n || n < 0 {
@@ -43,17 +34,6 @@ func LogBinomial(n, k int) float64 {
 		return v
 	}
 	return ln(n) - ln(k) - ln(n-k)
-}
-
-// TotalSubsets returns the exact number of subsets of an n-set with
-// sizes in [minSize, maxSize], i.e. the full GA search space of the
-// paper for a given maximum haplotype size.
-func TotalSubsets(n, minSize, maxSize int) *big.Int {
-	total := big.NewInt(0)
-	for k := minSize; k <= maxSize; k++ {
-		total.Add(total, Binomial(n, k))
-	}
-	return total
 }
 
 // FirstSubset fills dst (length k) with the lexicographically first
@@ -90,21 +70,6 @@ func NextSubset(s []int, n int) bool {
 		s[j] = s[j-1] + 1
 	}
 	return true
-}
-
-// Rank returns the lexicographic rank (0-based) of the sorted k-subset
-// s of [0, n), the inverse of Unrank.
-func Rank(s []int, n int) *big.Int {
-	k := len(s)
-	r := big.NewInt(0)
-	prev := -1
-	for i, v := range s {
-		for x := prev + 1; x < v; x++ {
-			r.Add(r, Binomial(n-x-1, k-i-1))
-		}
-		prev = v
-	}
-	return r
 }
 
 // Unrank fills dst with the sorted k-subset of [0, n) having the given

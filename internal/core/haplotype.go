@@ -37,12 +37,6 @@ type Haplotype struct {
 	Evaluated bool `json:"evaluated"`
 }
 
-// NewHaplotype builds an evaluated haplotype from sites that must
-// already be strictly increasing.
-func NewHaplotype(sites []int, fitness float64) *Haplotype {
-	return &Haplotype{Sites: sites, Fitness: fitness, Evaluated: true}
-}
-
 // Size returns the number of SNPs in the haplotype.
 func (h *Haplotype) Size() int { return len(h.Sites) }
 

@@ -5,10 +5,16 @@ import (
 	"testing"
 )
 
+// newHaplotype builds an evaluated haplotype from sites that must
+// already be strictly increasing.
+func newHaplotype(sites []int, fitness float64) *Haplotype {
+	return &Haplotype{Sites: sites, Fitness: fitness, Evaluated: true}
+}
+
 func TestHaplotypeKeyAndEqualSets(t *testing.T) {
-	a := NewHaplotype([]int{1, 5, 9}, 3)
-	b := NewHaplotype([]int{1, 5, 9}, 7)
-	c := NewHaplotype([]int{1, 5, 10}, 3)
+	a := newHaplotype([]int{1, 5, 9}, 3)
+	b := newHaplotype([]int{1, 5, 9}, 7)
+	c := newHaplotype([]int{1, 5, 10}, 3)
 	if a.Key() != b.Key() {
 		t.Fatal("same sites produced different keys")
 	}
@@ -16,15 +22,15 @@ func TestHaplotypeKeyAndEqualSets(t *testing.T) {
 		t.Fatal("different sites produced the same key")
 	}
 	// Keys must not collide across "digit boundaries": {1, 23} vs {12, 3}.
-	d := NewHaplotype([]int{1, 23}, 0)
-	e := NewHaplotype([]int{12, 3}, 0) // not sorted, but key must still differ
+	d := newHaplotype([]int{1, 23}, 0)
+	e := newHaplotype([]int{12, 3}, 0) // not sorted, but key must still differ
 	if d.Key() == e.Key() {
 		t.Fatal("key collision between {1,23} and {12,3}")
 	}
 }
 
 func TestHaplotypeCloneIsDeep(t *testing.T) {
-	a := NewHaplotype([]int{2, 4}, 1.5)
+	a := newHaplotype([]int{2, 4}, 1.5)
 	b := a.Clone()
 	b.Sites[0] = 99
 	b.Fitness = 42
@@ -34,7 +40,7 @@ func TestHaplotypeCloneIsDeep(t *testing.T) {
 }
 
 func TestHaplotypeContains(t *testing.T) {
-	h := NewHaplotype([]int{3, 7, 11}, 0)
+	h := newHaplotype([]int{3, 7, 11}, 0)
 	for _, s := range []int{3, 7, 11} {
 		if !h.Contains(s) {
 			t.Errorf("Contains(%d) = false", s)
@@ -48,7 +54,7 @@ func TestHaplotypeContains(t *testing.T) {
 }
 
 func TestHaplotypeStringOneBased(t *testing.T) {
-	h := NewHaplotype([]int{7, 11, 14}, 58.814)
+	h := newHaplotype([]int{7, 11, 14}, 58.814)
 	s := h.String()
 	if !strings.HasPrefix(s, "8 12 15") {
 		t.Fatalf("String() = %q, want 1-based SNP numbers 8 12 15", s)

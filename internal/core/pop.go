@@ -756,13 +756,5 @@ func (p *Pop) Elites(n int) []*Haplotype {
 // Sizes returns a copy of the hosted haplotype sizes, ascending.
 func (p *Pop) Sizes() []int { return append([]int(nil), p.sizes...) }
 
-// Evaluations returns the population's evaluation count so far (the
-// paper's cost metric, local to this population).
-func (p *Pop) Evaluations() int64 { return p.evals }
-
 // EvalErr returns the latched terminal evaluator failure, if any.
 func (p *Pop) EvalErr() error { return p.evalErr }
-
-// Generation returns the number of the generation most recently
-// started (0 before the first Step).
-func (p *Pop) Generation() int { return p.generation }

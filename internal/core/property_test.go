@@ -15,7 +15,7 @@ func TestSubpopInsertInvariantsProperty(t *testing.T) {
 		capacity := int(capRaw%10) + 1
 		sp := newSubpop(2, capacity)
 		for i := 0; i < int(ops); i++ {
-			h := NewHaplotype(
+			h := newHaplotype(
 				[]int{r.Intn(20), 20 + r.Intn(20)},
 				float64(r.Intn(50)),
 			)
@@ -52,7 +52,7 @@ func TestSubpopKeysConsistentProperty(t *testing.T) {
 		sp := newSubpop(1, 6)
 		for i := 0; i < int(ops); i++ {
 			if r.Bool(0.7) || len(sp.members) == 0 {
-				sp.insert(NewHaplotype([]int{r.Intn(30)}, r.Float64()*10))
+				sp.insert(newHaplotype([]int{r.Intn(30)}, r.Float64()*10))
 			} else {
 				sp.remove(sp.members[r.Intn(len(sp.members))])
 			}
@@ -79,7 +79,7 @@ func TestSubpopNormalizedBoundedProperty(t *testing.T) {
 		r := rng.New(seed)
 		sp := newSubpop(1, 20)
 		for i := 0; i < int(n%20)+1; i++ {
-			sp.insert(NewHaplotype([]int{r.Intn(100)}, r.Float64()*100-50))
+			sp.insert(newHaplotype([]int{r.Intn(100)}, r.Float64()*100-50))
 		}
 		for _, m := range sp.members {
 			v := sp.normalized(m.Fitness)

@@ -10,7 +10,7 @@ import (
 func TestSubpopInsertOrdering(t *testing.T) {
 	sp := newSubpop(2, 5)
 	for _, f := range []float64{3, 1, 4, 1.5, 9} {
-		h := NewHaplotype([]int{int(f * 10), int(f*10) + 1}, f)
+		h := newHaplotype([]int{int(f * 10), int(f*10) + 1}, f)
 		if !sp.insert(h) {
 			t.Fatalf("insert of %v failed", f)
 		}
@@ -27,11 +27,11 @@ func TestSubpopInsertOrdering(t *testing.T) {
 
 func TestSubpopRejectsDuplicates(t *testing.T) {
 	sp := newSubpop(2, 5)
-	a := NewHaplotype([]int{1, 2}, 5)
+	a := newHaplotype([]int{1, 2}, 5)
 	if !sp.insert(a) {
 		t.Fatal("first insert failed")
 	}
-	dup := NewHaplotype([]int{1, 2}, 100)
+	dup := newHaplotype([]int{1, 2}, 100)
 	if sp.insert(dup) {
 		t.Fatal("duplicate SNP set inserted")
 	}
@@ -42,32 +42,32 @@ func TestSubpopRejectsDuplicates(t *testing.T) {
 
 func TestSubpopCapacityEviction(t *testing.T) {
 	sp := newSubpop(1, 2)
-	sp.insert(NewHaplotype([]int{1}, 1))
-	sp.insert(NewHaplotype([]int{2}, 2))
+	sp.insert(newHaplotype([]int{1}, 1))
+	sp.insert(newHaplotype([]int{2}, 2))
 	// Worse than the worst: rejected.
-	if sp.insert(NewHaplotype([]int{3}, 0.5)) {
+	if sp.insert(newHaplotype([]int{3}, 0.5)) {
 		t.Fatal("worse-than-worst inserted at capacity")
 	}
 	// Equal to the worst: rejected (strictly better required).
-	if sp.insert(NewHaplotype([]int{4}, 1)) {
+	if sp.insert(newHaplotype([]int{4}, 1)) {
 		t.Fatal("equal-to-worst inserted at capacity")
 	}
 	// Better: evicts the worst.
-	if !sp.insert(NewHaplotype([]int{5}, 3)) {
+	if !sp.insert(newHaplotype([]int{5}, 3)) {
 		t.Fatal("better individual rejected")
 	}
 	if len(sp.members) != 2 || sp.worst().Fitness != 2 {
 		t.Fatalf("eviction wrong: len=%d worst=%v", len(sp.members), sp.worst().Fitness)
 	}
 	// The evicted key is reusable again.
-	if !sp.insert(NewHaplotype([]int{1}, 10)) {
+	if !sp.insert(newHaplotype([]int{1}, 10)) {
 		t.Fatal("evicted key not reusable")
 	}
 }
 
 func TestSubpopInsertRejectsWrongSizeAndUnevaluated(t *testing.T) {
 	sp := newSubpop(2, 5)
-	if sp.insert(NewHaplotype([]int{1, 2, 3}, 1)) {
+	if sp.insert(newHaplotype([]int{1, 2, 3}, 1)) {
 		t.Fatal("wrong-size haplotype inserted")
 	}
 	if sp.insert(&Haplotype{Sites: []int{1, 2}}) {
@@ -77,9 +77,9 @@ func TestSubpopInsertRejectsWrongSizeAndUnevaluated(t *testing.T) {
 
 func TestSubpopNormalized(t *testing.T) {
 	sp := newSubpop(1, 5)
-	sp.insert(NewHaplotype([]int{1}, 10))
-	sp.insert(NewHaplotype([]int{2}, 20))
-	sp.insert(NewHaplotype([]int{3}, 30))
+	sp.insert(newHaplotype([]int{1}, 10))
+	sp.insert(newHaplotype([]int{2}, 20))
+	sp.insert(newHaplotype([]int{3}, 30))
 	if got := sp.normalized(30); got != 1 {
 		t.Fatalf("normalized(best) = %v", got)
 	}
@@ -91,7 +91,7 @@ func TestSubpopNormalized(t *testing.T) {
 	}
 	// Degenerate range.
 	one := newSubpop(1, 2)
-	one.insert(NewHaplotype([]int{1}, 5))
+	one.insert(newHaplotype([]int{1}, 5))
 	if one.normalized(5) != 0 {
 		t.Fatal("degenerate normalization should be 0")
 	}
@@ -100,7 +100,7 @@ func TestSubpopNormalized(t *testing.T) {
 func TestSubpopMeanAndBelowMean(t *testing.T) {
 	sp := newSubpop(1, 5)
 	for i, f := range []float64{1, 2, 3, 4, 10} {
-		sp.insert(NewHaplotype([]int{i}, f))
+		sp.insert(newHaplotype([]int{i}, f))
 	}
 	if sp.mean() != 4 {
 		t.Fatalf("mean = %v", sp.mean())
@@ -114,7 +114,7 @@ func TestSubpopMeanAndBelowMean(t *testing.T) {
 func TestSubpopTournamentPrefersFit(t *testing.T) {
 	sp := newSubpop(1, 10)
 	for i := 0; i < 10; i++ {
-		sp.insert(NewHaplotype([]int{i}, float64(i)))
+		sp.insert(newHaplotype([]int{i}, float64(i)))
 	}
 	r := rng.New(5)
 	sum := 0.0
@@ -134,8 +134,8 @@ func TestSubpopTournamentPrefersFit(t *testing.T) {
 
 func TestSubpopRemove(t *testing.T) {
 	sp := newSubpop(1, 5)
-	a := NewHaplotype([]int{1}, 1)
-	b := NewHaplotype([]int{2}, 2)
+	a := newHaplotype([]int{1}, 1)
+	b := newHaplotype([]int{2}, 2)
 	sp.insert(a)
 	sp.insert(b)
 	sp.remove(a)
@@ -143,12 +143,12 @@ func TestSubpopRemove(t *testing.T) {
 		t.Fatal("remove failed")
 	}
 	// Removing a non-member is a no-op.
-	sp.remove(NewHaplotype([]int{9}, 9))
+	sp.remove(newHaplotype([]int{9}, 9))
 	if len(sp.members) != 1 {
 		t.Fatal("removing non-member changed population")
 	}
 	// The key is freed.
-	if !sp.insert(NewHaplotype([]int{1}, 3)) {
+	if !sp.insert(newHaplotype([]int{1}, 3)) {
 		t.Fatal("key not freed after remove")
 	}
 }

@@ -337,55 +337,10 @@ func groupPatterns(patterns [][]genotype.Genotype, k int) ([]patternGroup, int, 
 	return groups, n, nil
 }
 
-// patternProb returns the HWE probability of the genotype pattern
-// under haplotype frequencies f: the sum over unordered compatible
-// pairs {h1, h2} of f(h1)*f(h2), doubled for h1 != h2 (the HWE 2*f1*f2
-// factor). A homozygous pattern has the one pair {base, base}; with at
-// least one heterozygous site every pair is heterozygous, so the
-// probability is 2 x the half sum over the 2^(h-1) unordered pairs.
-// It is the definition Phase uses; the compiled E-step (estepPlan)
-// forms the same values bit for bit without re-deriving the pairs.
-func patternProb(g patternGroup, f []float64) float64 {
-	if g.hets&(g.hets-1) == 0 {
-		return onePairProb(g, f)
-	}
-	return multiPairProb(g, f)
-}
-
-// onePairProb is patternProb for zero or one heterozygous site, where
-// the pattern has the single pair {base, base|hets}.
-func onePairProb(g patternGroup, f []float64) float64 {
-	p := f[g.base] * f[g.base|g.hets]
-	if g.hets != 0 {
-		p *= 2
-	}
-	return p
-}
-
 // splitHets splits a heterozygous mask into its highest bit top and the
 // rest low. The subsets s of low enumerate each unordered compatible
 // pair exactly once, as {base|s, base|top|(low^s)}.
 func splitHets(hets uint32) (top, low uint32) {
 	top = uint32(1) << (31 - bits.LeadingZeros32(hets))
 	return top, hets &^ top
-}
-
-// multiPairProb is patternProb for two or more heterozygous sites. The
-// 2^(h-1) subsets of low are an even number, so two accumulators take
-// them in turn.
-func multiPairProb(g patternGroup, f []float64) float64 {
-	top, low := splitHets(g.hets)
-	hi := g.base | top
-	var p0, p1 float64
-	s := low
-	for {
-		p0 += f[g.base|s] * f[hi|(low^s)]
-		s = (s - 1) & low
-		p1 += f[g.base|s] * f[hi|(low^s)]
-		if s == 0 {
-			break
-		}
-		s = (s - 1) & low
-	}
-	return 2 * (p0 + p1)
 }

@@ -120,7 +120,7 @@ func TestEstimatePackedNoData(t *testing.T) {
 	}
 	packed := genotype.PackDataset(d)
 	cols := []genotype.PackedColumn{packed.Col(0), packed.Col(1)}
-	_, err := EstimatePacked(cols, packed.AllMask(), Config{}, nil)
+	_, err := EstimatePacked(cols, genotype.NewPlaneMask(d.NumIndividuals(), nil), Config{}, nil)
 	if !errors.Is(err, ErrNoData) {
 		t.Fatalf("EstimatePacked over all-missing column: err = %v, want ErrNoData", err)
 	}
@@ -130,18 +130,18 @@ func TestEstimatePackedNoData(t *testing.T) {
 func TestEstimatePackedValidation(t *testing.T) {
 	d := parityDataset(rand.New(rand.NewSource(9)), 10, 2, 0)
 	packed := genotype.PackDataset(d)
-	if _, err := EstimatePacked(nil, packed.AllMask(), Config{}, nil); err == nil {
+	if _, err := EstimatePacked(nil, genotype.NewPlaneMask(d.NumIndividuals(), nil), Config{}, nil); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 	big := make([]genotype.PackedColumn, MaxSNPs+1)
 	for i := range big {
 		big[i] = packed.Col(0)
 	}
-	if _, err := EstimatePacked(big, packed.AllMask(), Config{}, nil); err == nil {
+	if _, err := EstimatePacked(big, genotype.NewPlaneMask(d.NumIndividuals(), nil), Config{}, nil); err == nil {
 		t.Fatal("k > MaxSNPs accepted")
 	}
-	short := genotype.PackColumn(make([]genotype.Genotype, 5))
-	if _, err := EstimatePacked([]genotype.PackedColumn{short}, packed.AllMask(), Config{}, nil); err == nil {
+	short := genotype.PackColumnInto(make([]genotype.Genotype, 5), nil)
+	if _, err := EstimatePacked([]genotype.PackedColumn{short}, genotype.NewPlaneMask(d.NumIndividuals(), nil), Config{}, nil); err == nil {
 		t.Fatal("column/mask row mismatch accepted")
 	}
 }
@@ -232,7 +232,7 @@ func TestGroupTableManyPatterns(t *testing.T) {
 		for j := range cols {
 			cols[j] = packed.Col(j)
 		}
-		requireReferenceGrouping(t, fmt.Sprintf("%d rows", rows), cols, packed.AllMask(), &scr)
+		requireReferenceGrouping(t, fmt.Sprintf("%d rows", rows), cols, genotype.NewPlaneMask(d.NumIndividuals(), nil), &scr)
 		if len(scr.groups) < rows*9/10 {
 			t.Fatalf("%d rows give only %d groups; the case does not load the table", rows, len(scr.groups))
 		}
@@ -251,10 +251,10 @@ func TestGroupTableGenerationWrap(t *testing.T) {
 		for j := range cols {
 			cols[j] = packed.Col(j)
 		}
-		requireReferenceGrouping(t, fmt.Sprintf("k=%d", k), cols, packed.AllMask(), &scr)
+		requireReferenceGrouping(t, fmt.Sprintf("k=%d", k), cols, genotype.NewPlaneMask(d.NumIndividuals(), nil), &scr)
 		scr.gen = math.MaxUint32 - 1
-		requireReferenceGrouping(t, fmt.Sprintf("k=%d before the wrap", k), cols[:1], packed.AllMask(), &scr)
-		requireReferenceGrouping(t, fmt.Sprintf("k=%d at the wrap", k), cols, packed.AllMask(), &scr)
+		requireReferenceGrouping(t, fmt.Sprintf("k=%d before the wrap", k), cols[:1], genotype.NewPlaneMask(d.NumIndividuals(), nil), &scr)
+		requireReferenceGrouping(t, fmt.Sprintf("k=%d at the wrap", k), cols, genotype.NewPlaneMask(d.NumIndividuals(), nil), &scr)
 		if scr.gen != 1 {
 			t.Fatalf("generation after the wrap is %d, want 1", scr.gen)
 		}

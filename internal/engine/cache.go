@@ -1,8 +1,9 @@
 package engine
 
 import (
-	"sort"
 	"sync"
+
+	"repro/internal/fitness"
 )
 
 // defaultShards is the shard count of the fitness cache. Sharding by
@@ -10,41 +11,15 @@ import (
 // and several concurrent batches touching the cache.
 const defaultShards = 64
 
-// canonicalSites returns sites in canonical form: strictly increasing,
-// no duplicates. The common case — already canonical, as the Evaluator
-// contract requires — returns the input slice without allocating.
-func canonicalSites(sites []int) []int {
-	for i := 1; i < len(sites); i++ {
-		if sites[i] <= sites[i-1] {
-			c := append([]int(nil), sites...)
-			sort.Ints(c)
-			out := c[:1]
-			for _, s := range c[1:] {
-				if s != out[len(out)-1] {
-					out = append(out, s)
-				}
-			}
-			return out
-		}
-	}
-	return sites
-}
-
 // cacheKey implements the package's canonicalization rule: 8-byte
-// big-endian dataset fingerprint, then each site index as 4 bytes
-// big-endian. sites must already be canonical.
+// big-endian dataset fingerprint, then fitness.AppendSiteKey's site
+// identity. sites must already be canonical (fitness.CanonicalSites).
 func cacheKey(fingerprint uint64, sites []int) string {
-	b := make([]byte, 8+4*len(sites))
+	b := make([]byte, 8, 8+4*len(sites))
 	for i := 0; i < 8; i++ {
 		b[i] = byte(fingerprint >> (8 * (7 - i)))
 	}
-	for i, s := range sites {
-		b[8+4*i] = byte(s >> 24)
-		b[8+4*i+1] = byte(s >> 16)
-		b[8+4*i+2] = byte(s >> 8)
-		b[8+4*i+3] = byte(s)
-	}
-	return string(b)
+	return string(fitness.AppendSiteKey(b, sites))
 }
 
 // shardedCache is a fixed-shard concurrent map from cache key to

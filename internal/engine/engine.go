@@ -331,7 +331,7 @@ func (e *Engine) EvaluateBatchContext(ctx context.Context, batch [][]int) ([]flo
 	// Canonicalize, then coalesce identical sets.
 	canon := make([][]int, len(batch))
 	for i, sites := range batch {
-		canon[i] = canonicalSites(sites)
+		canon[i] = fitness.CanonicalSites(sites)
 	}
 	unique, index := fitness.Dedupe(canon)
 

@@ -36,19 +36,12 @@ type ContextBatchEvaluator interface {
 	EvaluateBatchContext(ctx context.Context, batch [][]int) (values []float64, errs []error)
 }
 
-// EvaluateAll evaluates a batch through ev, using its batch fast path
-// when available and falling back to serial evaluation otherwise.
-// Per-item failures are reported in errs without aborting the rest of
-// the batch. It is EvaluateAllContext with a background context.
-func EvaluateAll(ev Evaluator, batch [][]int) (values []float64, errs []error) {
-	return EvaluateAllContext(context.Background(), ev, batch) //ldvet:allow ctxflow: context-free compat wrapper; cancellable callers use EvaluateAllContext
-}
-
-// EvaluateAllContext is the cancellable form of EvaluateAll. It uses
-// the evaluator's ContextBatchEvaluator fast path when available;
-// otherwise it checks ctx between items (or once up front for a plain
-// BatchEvaluator, whose batch is indivisible). Items skipped because
-// of cancellation report ctx's error positionally.
+// EvaluateAllContext evaluates a batch through ev: through its
+// ContextBatchEvaluator fast path when available, otherwise serially,
+// checking ctx between items (or once up front for a plain
+// BatchEvaluator, whose batch is indivisible). Per-item failures are
+// reported in errs without aborting the rest of the batch; items
+// skipped because of cancellation report ctx's error positionally.
 func EvaluateAllContext(ctx context.Context, ev Evaluator, batch [][]int) (values []float64, errs []error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -85,7 +78,7 @@ func EvaluateAllContext(ctx context.Context, ev Evaluator, batch [][]int) (value
 // can evaluate unique once and fan the results back out:
 //
 //	unique, index := fitness.Dedupe(batch)
-//	values, errs := fitness.EvaluateAll(ev, unique)
+//	values, errs := fitness.EvaluateAllContext(ctx, ev, unique)
 //	// batch[i]'s result is values[index[i]], errs[index[i]].
 //
 // Site sets are compared positionally; callers should pass canonical

@@ -1,6 +1,7 @@
 package fitness
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -13,7 +14,7 @@ func TestEvaluateAllSerialFallback(t *testing.T) {
 		return float64(sites[0]), nil
 	})
 	batch := [][]int{{1}, {9}, {3}}
-	values, errs := EvaluateAll(ev, batch)
+	values, errs := EvaluateAllContext(context.Background(), ev, batch)
 	if errs[0] != nil || errs[2] != nil || errs[1] == nil {
 		t.Fatalf("errs = %v", errs)
 	}

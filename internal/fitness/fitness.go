@@ -16,6 +16,7 @@ package fitness
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -138,9 +139,6 @@ func newPipeline(d *genotype.Dataset, stat clump.Statistic, em ehdiall.Config) (
 		unMask:  genotype.NewPlaneMask(d.NumIndividuals(), un),
 	}, nil
 }
-
-// NumSNPs returns the number of SNP columns available to haplotypes.
-func (p *Pipeline) NumSNPs() int { return p.data.NumSNPs() }
 
 // Dataset returns the underlying dataset (read-only by convention).
 func (p *Pipeline) Dataset() *genotype.Dataset { return p.data }
@@ -287,18 +285,43 @@ func ConcatTable(aff, un *ehdiall.Result) (*stats.Table, error) {
 	return t, nil
 }
 
-// siteKey is the positional identity of a site set, four bytes per
-// site: enough for the >10^5-SNP studies the roadmap targets, where
-// two bytes would silently alias columns.
-func siteKey(sites []int) string {
-	b := make([]byte, 4*len(sites))
-	for i, s := range sites {
-		b[4*i] = byte(s >> 24)
-		b[4*i+1] = byte(s >> 16)
-		b[4*i+2] = byte(s >> 8)
-		b[4*i+3] = byte(s)
+// CanonicalSites returns sites in canonical form: strictly
+// increasing, no duplicates. It is the one identity of a SNP set that
+// the engine's memo cache and the race's shared-hit accounting both
+// key on. The common case — already canonical, as the Evaluator
+// contract requires — returns the input slice without allocating; a
+// non-canonical input is copied, never modified.
+func CanonicalSites(sites []int) []int {
+	for i := 1; i < len(sites); i++ {
+		if sites[i] <= sites[i-1] {
+			c := append([]int(nil), sites...)
+			sort.Ints(c)
+			out := c[:1]
+			for _, s := range c[1:] {
+				if s != out[len(out)-1] {
+					out = append(out, s)
+				}
+			}
+			return out
+		}
 	}
-	return string(b)
+	return sites
+}
+
+// AppendSiteKey appends the positional identity of a site set to dst,
+// four bytes big-endian per site: enough for the >10^5-SNP studies the
+// roadmap targets, where two bytes would silently alias columns. Pass
+// CanonicalSites(sites) for a key that identifies the SNP set.
+func AppendSiteKey(dst []byte, sites []int) []byte {
+	for _, s := range sites {
+		dst = append(dst, byte(s>>24), byte(s>>16), byte(s>>8), byte(s))
+	}
+	return dst
+}
+
+// siteKey is AppendSiteKey as a map key.
+func siteKey(sites []int) string {
+	return string(AppendSiteKey(make([]byte, 0, 4*len(sites)), sites))
 }
 
 // Latency wraps an evaluator and sleeps a fixed duration per call,

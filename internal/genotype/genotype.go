@@ -201,6 +201,23 @@ func (d *Dataset) MinorAlleleFreq(j int) float64 {
 	return p2
 }
 
+// MissingRate returns the overall fraction of missing genotype calls.
+func (d *Dataset) MissingRate() float64 {
+	total, missing := 0, 0
+	for i := range d.Individuals {
+		for _, g := range d.Individuals[i].Genotypes {
+			total++
+			if g == Missing {
+				missing++
+			}
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(missing) / float64(total)
+}
+
 // FreqTable returns the paper's second data table: for every SNP the
 // frequency of each of its two alternatives.
 func (d *Dataset) FreqTable() [][2]float64 {

@@ -267,3 +267,24 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Fatal("reading missing file succeeded")
 	}
 }
+
+func TestMissingRate(t *testing.T) {
+	d := &Dataset{
+		SNPs: []SNP{{Name: "common"}, {Name: "rare"}, {Name: "missing"}, {Name: "good"}},
+		Individuals: []Individual{
+			{ID: "1", Status: Affected, Genotypes: []Genotype{1, 0, Missing, 2}},
+			{ID: "2", Status: Affected, Genotypes: []Genotype{2, 0, Missing, 1}},
+			{ID: "3", Status: Unaffected, Genotypes: []Genotype{1, 0, Missing, 0}},
+			{ID: "4", Status: Unaffected, Genotypes: []Genotype{0, 0, 1, 1}},
+			{ID: "5", Status: Unknown, Genotypes: []Genotype{1, 1, Missing, 2}},
+		},
+	}
+	// 4 missing of 20 calls.
+	if got := d.MissingRate(); got != 0.2 {
+		t.Fatalf("MissingRate = %v, want 0.2", got)
+	}
+	empty := &Dataset{}
+	if empty.MissingRate() != 0 {
+		t.Fatal("empty dataset missing rate should be 0")
+	}
+}

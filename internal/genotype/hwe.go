@@ -33,14 +33,16 @@ func (d *Dataset) HWETest(j int, rows []int) (HWEResult, error) {
 	if j < 0 || j >= d.NumSNPs() {
 		return HWEResult{}, fmt.Errorf("genotype: SNP index %d out of range", j)
 	}
+	n := len(rows)
 	if rows == nil {
-		rows = make([]int, d.NumIndividuals())
-		for i := range rows {
-			rows[i] = i
-		}
+		n = d.NumIndividuals()
 	}
 	var res HWEResult
-	for _, r := range rows {
+	for k := 0; k < n; k++ {
+		r := k // nil rows: every individual, without building an index
+		if rows != nil {
+			r = rows[k]
+		}
 		g := d.Individuals[r].Genotypes[j]
 		if g == Missing {
 			continue

@@ -152,3 +152,29 @@ func TestHWEFilter(t *testing.T) {
 		t.Fatal("alpha >= 1 accepted")
 	}
 }
+
+// TestHWETestAllRowsAllocFree pins the nil-rows path (every
+// individual) to zero allocations: it walks d.Individuals directly
+// instead of building an index of every row, and its result equals an
+// explicit all-rows selection.
+func TestHWETestAllRowsAllocFree(t *testing.T) {
+	d := hweDataset(500, 4)
+	all := make([]int, d.NumIndividuals())
+	for i := range all {
+		all[i] = i
+	}
+	want, err := d.HWETest(0, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := d.HWETest(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("HWETest(nil) = %+v, want the all-rows result %+v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = d.HWETest(0, nil) }); allocs != 0 {
+		t.Fatalf("HWETest(j, nil) allocates %v times per call, want 0", allocs)
+	}
+}

@@ -63,17 +63,12 @@ type PackedColumn struct {
 	n     int
 }
 
-// PackColumn packs a genotype column. Codes are 00/01/10 for 0/1/2
+// PackColumnInto packs a genotype column. Codes are 00/01/10 for 0/1/2
 // copies of allele 2; Missing (and any invalid code, which a validated
 // dataset never contains) packs as 11. Unused slots of the last word
 // are left as 00 and are excluded from every count by the membership
-// mask, never by the class planes (00 belongs to no plane).
-func PackColumn(gs []Genotype) PackedColumn {
-	return PackColumnInto(gs, nil)
-}
-
-// PackColumnInto is PackColumn reusing words as the backing storage
-// when it is large enough.
+// mask, never by the class planes (00 belongs to no plane). words is
+// reused as the backing storage when it is large enough.
 func PackColumnInto(gs []Genotype, words []uint64) PackedColumn {
 	nw := packedWords(len(gs))
 	if cap(words) < nw {
@@ -103,25 +98,14 @@ func (c PackedColumn) Len() int { return c.n }
 func (c PackedColumn) NumWords() int { return len(c.words) }
 
 // Get unpacks the genotype of row i.
+//
+//ldvet:allow deadexport: test reference; the packing tests and ehdiall's refGroupPacked decode columns row by row with it
 func (c PackedColumn) Get(i int) Genotype {
 	code := (c.words[i/WordGenotypes] >> (2 * uint(i%WordGenotypes))) & 3
 	if code == 3 {
 		return Missing
 	}
 	return Genotype(code)
-}
-
-// Unpack decodes the whole column into dst (grown as needed) and
-// returns it, the inverse of PackColumn.
-func (c PackedColumn) Unpack(dst []Genotype) []Genotype {
-	if cap(dst) < c.n {
-		dst = make([]Genotype, c.n)
-	}
-	dst = dst[:c.n]
-	for i := range dst {
-		dst[i] = c.Get(i)
-	}
-	return dst
 }
 
 // Planes extracts the class bit-planes of word w in lo-plane geometry:
@@ -163,7 +147,6 @@ func (c PackedColumn) Counts(m PlaneMask) (n0, n1, n2, missing int) {
 type PlaneMask struct {
 	words []uint64
 	n     int // total rows of the columns the mask applies to
-	count int // selected rows
 }
 
 // NewPlaneMask builds the membership mask of the given rows (which
@@ -178,7 +161,6 @@ func NewPlaneMask(n int, rows []int) PlaneMask {
 		if len(m.words) > 0 {
 			m.words[len(m.words)-1] = tailPlane(n)
 		}
-		m.count = n
 		return m
 	}
 	for _, r := range rows {
@@ -187,7 +169,6 @@ func NewPlaneMask(n int, rows []int) PlaneMask {
 		}
 		m.words[r/WordGenotypes] |= 1 << (2 * uint(r%WordGenotypes))
 	}
-	m.count = len(rows)
 	return m
 }
 
@@ -197,14 +178,10 @@ func (m PlaneMask) Word(w int) uint64 { return m.words[w] }
 // NumRows returns the row count of the columns the mask applies to.
 func (m PlaneMask) NumRows() int { return m.n }
 
-// Count returns the number of selected rows.
-func (m PlaneMask) Count() int { return m.count }
-
 // Packed is a dataset's SNP columns in the 2-bit representation,
 // sharing one flat word allocation. It is immutable and safe for
 // concurrent use.
 type Packed struct {
-	rows int
 	cols []PackedColumn
 	all  PlaneMask
 }
@@ -215,7 +192,6 @@ func PackDataset(d *Dataset) *Packed {
 	nw := packedWords(rows)
 	flat := make([]uint64, nw*d.NumSNPs())
 	p := &Packed{
-		rows: rows,
 		cols: make([]PackedColumn, d.NumSNPs()),
 		all:  NewPlaneMask(rows, nil),
 	}
@@ -229,15 +205,8 @@ func PackDataset(d *Dataset) *Packed {
 // NumSNPs returns the number of packed columns.
 func (p *Packed) NumSNPs() int { return len(p.cols) }
 
-// NumRows returns the number of rows per column.
-func (p *Packed) NumRows() int { return p.rows }
-
 // Col returns packed column j.
 func (p *Packed) Col(j int) PackedColumn { return p.cols[j] }
-
-// AllMask returns the mask selecting every row, built once at packing
-// time.
-func (p *Packed) AllMask() PlaneMask { return p.all }
 
 // AlleleFreq is the packed counterpart of Dataset.AlleleFreq: the
 // frequencies of alleles 1 and 2 at SNP j over all individuals, plus
@@ -269,27 +238,4 @@ func (p *Packed) HWETest(j int, m PlaneMask) (HWEResult, error) {
 	}
 	hweFinish(&res)
 	return res, nil
-}
-
-// HWEFilter is the packed counterpart of Dataset.HWEFilter: the SNP
-// columns whose Hardy-Weinberg p-value over the rows selected by m is
-// at least alpha.
-func (p *Packed) HWEFilter(m PlaneMask, alpha float64) ([]int, error) {
-	if alpha < 0 || alpha >= 1 {
-		return nil, fmt.Errorf("genotype: alpha %v out of [0, 1)", alpha)
-	}
-	var keep []int
-	for j := 0; j < p.NumSNPs(); j++ {
-		res, err := p.HWETest(j, m)
-		if err != nil {
-			continue // untypable SNPs are dropped
-		}
-		if res.PValue >= alpha {
-			keep = append(keep, j)
-		}
-	}
-	if len(keep) == 0 {
-		return nil, fmt.Errorf("genotype: no SNP passes HWE at alpha %v", alpha)
-	}
-	return keep, nil
 }

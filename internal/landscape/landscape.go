@@ -76,13 +76,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Enumerate evaluates every haplotype of each size in
-// [MinSize, MaxSize] and returns one summary per size, in size order.
-// It is EnumerateContext with a background context.
-func Enumerate(ev fitness.Evaluator, numSNPs int, cfg Config) ([]SizeSummary, error) {
-	return EnumerateContext(context.Background(), ev, numSNPs, cfg) //ldvet:allow ctxflow: context-free compat wrapper; cancellable callers use EnumerateContext
-}
-
 // EnumerateContext is the cancellable enumeration: the workers check
 // ctx between evaluations, so cancellation stops within one evaluation
 // per worker even inside a single large size. The summaries of fully
@@ -223,9 +216,9 @@ func (c Containment) Fraction() float64 {
 }
 
 // AnalyzeContainment inspects consecutive size summaries (as returned
-// by Enumerate) and reports, for each size k > min, how often its top
-// haplotypes include a top size-(k-1) haplotype. Values well below 1
-// reproduce the paper's argument against constructive methods.
+// by EnumerateContext) and reports, for each size k > min, how often
+// its top haplotypes include a top size-(k-1) haplotype. Values well
+// below 1 reproduce the paper's argument against constructive methods.
 func AnalyzeContainment(summaries []SizeSummary) []Containment {
 	var out []Containment
 	for i := 1; i < len(summaries); i++ {

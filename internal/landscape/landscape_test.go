@@ -1,6 +1,7 @@
 package landscape
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -22,7 +23,7 @@ var sumEval = fitness.Func(func(sites []int) (float64, error) {
 
 func TestEnumerateCountsAndBest(t *testing.T) {
 	const n = 10
-	sums, err := Enumerate(sumEval, n, Config{MinSize: 2, MaxSize: 3, TopN: 5})
+	sums, err := EnumerateContext(context.Background(), sumEval, n, Config{MinSize: 2, MaxSize: 3, TopN: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestEnumerateCountsAndBest(t *testing.T) {
 }
 
 func TestEnumerateTopOrderedAndDistinct(t *testing.T) {
-	sums, err := Enumerate(sumEval, 12, Config{MinSize: 3, MaxSize: 3, TopN: 8})
+	sums, err := EnumerateContext(context.Background(), sumEval, 12, Config{MinSize: 3, MaxSize: 3, TopN: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +77,11 @@ func TestEnumerateTopOrderedAndDistinct(t *testing.T) {
 }
 
 func TestEnumerateParallelMatchesSerial(t *testing.T) {
-	serial, err := Enumerate(sumEval, 11, Config{MinSize: 2, MaxSize: 3, TopN: 6, Workers: 1})
+	serial, err := EnumerateContext(context.Background(), sumEval, 11, Config{MinSize: 2, MaxSize: 3, TopN: 6, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Enumerate(sumEval, 11, Config{MinSize: 2, MaxSize: 3, TopN: 6, Workers: 4})
+	parallel, err := EnumerateContext(context.Background(), sumEval, 11, Config{MinSize: 2, MaxSize: 3, TopN: 6, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestEnumerateCountsFailures(t *testing.T) {
 		}
 		return 1, nil
 	})
-	sums, err := Enumerate(ev, 6, Config{MinSize: 2, MaxSize: 2, TopN: 3})
+	sums, err := EnumerateContext(context.Background(), ev, 6, Config{MinSize: 2, MaxSize: 2, TopN: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +120,10 @@ func TestEnumerateCountsFailures(t *testing.T) {
 }
 
 func TestEnumerateConfigErrors(t *testing.T) {
-	if _, err := Enumerate(sumEval, 10, Config{MinSize: 3, MaxSize: 2}); err == nil {
+	if _, err := EnumerateContext(context.Background(), sumEval, 10, Config{MinSize: 3, MaxSize: 2}); err == nil {
 		t.Fatal("inverted range accepted")
 	}
-	if _, err := Enumerate(sumEval, 4, Config{MinSize: 2, MaxSize: 9}); err == nil {
+	if _, err := EnumerateContext(context.Background(), sumEval, 4, Config{MinSize: 2, MaxSize: 9}); err == nil {
 		t.Fatal("oversized MaxSize accepted")
 	}
 }
@@ -148,7 +149,7 @@ func TestIsSubset(t *testing.T) {
 func TestContainmentOnNestedLandscape(t *testing.T) {
 	// sumEval's optima nest perfectly (top size-k sets are the k
 	// largest sites), so containment should be complete.
-	sums, err := Enumerate(sumEval, 10, Config{MinSize: 2, MaxSize: 4, TopN: 3})
+	sums, err := EnumerateContext(context.Background(), sumEval, 10, Config{MinSize: 2, MaxSize: 4, TopN: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestContainmentOnAdversarialLandscape(t *testing.T) {
 		}
 		return float64(-s), nil
 	})
-	sums, err := Enumerate(ev, 10, Config{MinSize: 2, MaxSize: 3, TopN: 3})
+	sums, err := EnumerateContext(context.Background(), ev, 10, Config{MinSize: 2, MaxSize: 3, TopN: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestContainmentOnAdversarialLandscape(t *testing.T) {
 }
 
 func TestRangesGrow(t *testing.T) {
-	sums, err := Enumerate(sumEval, 10, Config{MinSize: 2, MaxSize: 4})
+	sums, err := EnumerateContext(context.Background(), sumEval, 10, Config{MinSize: 2, MaxSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestBestOfEmptySummary(t *testing.T) {
 
 func BenchmarkEnumerate51Size2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Enumerate(sumEval, 51, Config{MinSize: 2, MaxSize: 2, Workers: 4}); err != nil {
+		if _, err := EnumerateContext(context.Background(), sumEval, 51, Config{MinSize: 2, MaxSize: 2, Workers: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}

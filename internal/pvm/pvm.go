@@ -82,9 +82,6 @@ type Task struct {
 	halt    chan struct{}
 }
 
-// TID returns the task id.
-func (t *Task) TID() int { return t.tid }
-
 func (m *Machine) newTask() *Task {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -41,10 +41,10 @@ func TestRecvFiltersByTag(t *testing.T) {
 	other, _ := m.Register()
 	// Deliver tag 1 then tag 2; a Recv for tag 2 must skip tag 1,
 	// which stays available for a later Recv.
-	if err := other.Send(master.TID(), 1, []byte("first")); err != nil {
+	if err := other.Send(master.tid, 1, []byte("first")); err != nil {
 		t.Fatal(err)
 	}
-	if err := other.Send(master.TID(), 2, []byte("second")); err != nil {
+	if err := other.Send(master.tid, 2, []byte("second")); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := master.Recv(AnySource, 2)
@@ -69,9 +69,9 @@ func TestRecvFiltersBySource(t *testing.T) {
 	master, _ := m.Register()
 	a, _ := m.Register()
 	b, _ := m.Register()
-	_ = a.Send(master.TID(), 1, []byte("from-a"))
-	_ = b.Send(master.TID(), 1, []byte("from-b"))
-	msg, err := master.Recv(b.TID(), AnyTag)
+	_ = a.Send(master.tid, 1, []byte("from-a"))
+	_ = b.Send(master.tid, 1, []byte("from-b"))
+	msg, err := master.Recv(b.tid, AnyTag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestMessageBodyIsCopied(t *testing.T) {
 	master, _ := m.Register()
 	other, _ := m.Register()
 	body := []byte("abc")
-	_ = other.Send(master.TID(), 1, body)
+	_ = other.Send(master.tid, 1, body)
 	body[0] = 'X' // mutate after send
 	msg, err := master.Recv(AnySource, AnyTag)
 	if err != nil {
@@ -144,7 +144,7 @@ func TestLatencyDelaysDelivery(t *testing.T) {
 	master, _ := m.Register()
 	other, _ := m.Register()
 	start := time.Now()
-	if err := other.Send(master.TID(), 1, nil); err != nil {
+	if err := other.Send(master.tid, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if sendTime := time.Since(start); sendTime > 20*time.Millisecond {

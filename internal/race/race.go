@@ -268,9 +268,6 @@ func Start(ctx context.Context, specs []LaneSpec, policy Policy) (*Race, error) 
 // channel closes after the final (Finished) board.
 func (r *Race) Board() <-chan Board { return r.boardCh }
 
-// Done closes when every lane has reached a terminal state.
-func (r *Race) Done() <-chan struct{} { return r.done }
-
 // Wait blocks until the race finishes and returns the final result.
 // The error is ErrStopped when the race was canceled from outside
 // before finishing naturally; the Result is valid either way.
@@ -352,7 +349,9 @@ func (r *Race) finishLocked() {
 }
 
 // record books one successful evaluation of lane l and applies the
-// cancellation policy.
+// cancellation policy. sites is the evaluated set in canonical form
+// (fitness.CanonicalSites, which may alias the lane's slice) and key
+// its identity, the same one the engine's memo cache keys on.
 func (r *Race) record(l *lane, key string, sites []int, v float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -371,7 +370,7 @@ func (r *Race) record(l *lane, key string, sites []int, v float64) {
 	}
 	if v > l.best {
 		l.best = v
-		l.bestSites = sortedCopy(sites)
+		l.bestSites = append([]int(nil), sites...)
 		l.lastImprove = l.evals
 	}
 	r.applyPolicyLocked()
@@ -563,26 +562,7 @@ func (m *meter) Evaluate(sites []int) (float64, error) {
 		}
 		return 0, err
 	}
-	m.r.record(m.l, siteKey(sites), sites, v)
+	canon := fitness.CanonicalSites(sites)
+	m.r.record(m.l, string(fitness.AppendSiteKey(nil, canon)), canon, v)
 	return v, nil
-}
-
-func sortedCopy(sites []int) []int {
-	out := append([]int(nil), sites...)
-	sort.Ints(out)
-	return out
-}
-
-// siteKey canonicalizes a SNP set to a map key (sorted, 4 bytes per
-// site), matching the canonical form the engine's memo cache uses.
-func siteKey(sites []int) string {
-	s := sortedCopy(sites)
-	buf := make([]byte, 4*len(s))
-	for i, v := range s {
-		buf[4*i] = byte(v)
-		buf[4*i+1] = byte(v >> 8)
-		buf[4*i+2] = byte(v >> 16)
-		buf[4*i+3] = byte(v >> 24)
-	}
-	return string(buf)
 }

@@ -483,3 +483,49 @@ func TestRaceMeterRejectsAfterCancel(t *testing.T) {
 		t.Fatalf("post-cancel evaluation was recorded: %d", res.Lanes[0].Evaluations)
 	}
 }
+
+func TestRaceDuplicateSitesShareTheCanonicalSet(t *testing.T) {
+	// {1,4,9,9} is the SNP set {1,4,9}: the engine serves it from the
+	// entry {1,4,9} left, so the race must count it as a shared hit,
+	// and the lane's metered best must list each site once.
+	dedupSum := fitness.Func(func(sites []int) (float64, error) {
+		s, seen := 0.0, map[int]bool{}
+		for _, v := range sites {
+			if !seen[v] {
+				seen[v] = true
+				s += float64(v)
+			}
+		}
+		return s, nil
+	})
+	first := make(chan struct{})
+	lead := func(ctx context.Context, ev fitness.Evaluator) (LaneResult, error) {
+		defer close(first)
+		_, err := ev.Evaluate([]int{1, 4, 9})
+		return LaneResult{}, err
+	}
+	follow := func(ctx context.Context, ev fitness.Evaluator) (LaneResult, error) {
+		<-first
+		_, err := ev.Evaluate([]int{1, 4, 9, 9})
+		return LaneResult{}, err // no BestSites: the metered best stands
+	}
+	r, err := Start(context.Background(), []LaneSpec{
+		{Name: "lead", Optimizer: "a", Statistic: "T1", Eval: dedupSum, Run: lead},
+		{Name: "follow", Optimizer: "b", Statistic: "T1", Eval: dedupSum, Run: follow},
+	}, Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := waitRace(t, r)
+	if res.TotalSharedHits != 1 {
+		t.Fatalf("shared hits = %d, want 1: {1,4,9,9} is the set {1,4,9} already evaluated", res.TotalSharedHits)
+	}
+	for _, l := range res.Lanes {
+		if fmt.Sprint(l.BestSites) != "[1 4 9]" {
+			t.Errorf("lane %s best sites = %v, want [1 4 9]", l.Name, l.BestSites)
+		}
+		if l.Name == "follow" && l.SharedHits != 1 {
+			t.Errorf("lane follow shared hits = %d, want 1", l.SharedHits)
+		}
+	}
+}

@@ -13,8 +13,6 @@
 // used.
 package rng
 
-import "math"
-
 // RNG is a deterministic pseudo-random number generator
 // (xoshiro256**). It is NOT safe for concurrent use; derive one stream
 // per goroutine with Split.
@@ -116,14 +114,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return
 }
 
-// IntRange returns a uniform int in [lo, hi]. It panics if hi < lo.
-func (r *RNG) IntRange(lo, hi int) int {
-	if hi < lo {
-		panic("rng: IntRange called with hi < lo")
-	}
-	return lo + r.Intn(hi-lo+1)
-}
-
 // Bool returns true with probability p (clamped to [0,1]).
 func (r *RNG) Bool(p float64) bool {
 	if p <= 0 {
@@ -133,20 +123,6 @@ func (r *RNG) Bool(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// NormFloat64 returns a standard normal variate (Marsaglia polar
-// method). Adequate for the moderate-accuracy needs of the synthetic
-// data generator.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
 }
 
 // Shuffle randomizes the order of n elements via the provided swap

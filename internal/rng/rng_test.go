@@ -102,19 +102,6 @@ func TestIntnPanics(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestIntRange(t *testing.T) {
-	r := New(17)
-	for i := 0; i < 1000; i++ {
-		v := r.IntRange(-3, 4)
-		if v < -3 || v > 4 {
-			t.Fatalf("IntRange(-3,4) = %d", v)
-		}
-	}
-	if got := r.IntRange(5, 5); got != 5 {
-		t.Fatalf("IntRange(5,5) = %d, want 5", got)
-	}
-}
-
 func TestBoolEdges(t *testing.T) {
 	r := New(23)
 	for i := 0; i < 100; i++ {
@@ -139,25 +126,6 @@ func TestBoolFrequency(t *testing.T) {
 	got := float64(hits) / n
 	if math.Abs(got-0.3) > 0.01 {
 		t.Fatalf("Bool(0.3) frequency = %v", got)
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(31)
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance = %v, want ~1", variance)
 	}
 }
 

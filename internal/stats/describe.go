@@ -1,94 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Variance returns the unbiased (n-1) sample variance of xs, or 0 when
-// fewer than two samples are available.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the minimum of xs. It panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs. It panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. It panics on an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	i := int(math.Floor(pos))
-	frac := pos - float64(i)
-	if i+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[i]*(1-frac) + s[i+1]*frac
-}
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
+import "math"
 
 // Accumulator is a streaming mean/variance accumulator using Welford's
 // algorithm. The zero value is ready to use.

@@ -9,58 +9,53 @@ import (
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestMeanVariance(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); !almostEqual(got, 5, 1e-12) {
+	var acc Accumulator
+	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+		acc.Add(x)
+	}
+	if got := acc.Mean(); !almostEqual(got, 5, 1e-12) {
 		t.Fatalf("Mean = %v, want 5", got)
 	}
 	// Sample variance with n-1 = 32/7.
-	if got := Variance(xs); !almostEqual(got, 32.0/7.0, 1e-12) {
+	if got := acc.Variance(); !almostEqual(got, 32.0/7.0, 1e-12) {
 		t.Fatalf("Variance = %v, want %v", got, 32.0/7.0)
 	}
 }
 
 func TestMeanEmpty(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
+	var acc Accumulator
+	if acc.Mean() != 0 || acc.Variance() != 0 {
+		t.Fatal("empty accumulator: Mean or Variance != 0")
 	}
-	if Variance([]float64{1}) != 0 {
+	acc.Add(1)
+	if acc.Variance() != 0 {
 		t.Fatal("Variance of singleton != 0")
 	}
 }
 
 func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 4, 1, 5}
-	if Min(xs) != -1 || Max(xs) != 5 {
-		t.Fatalf("Min/Max = %v/%v", Min(xs), Max(xs))
+	var acc Accumulator
+	for _, x := range []float64{3, -1, 4, 1, 5} {
+		acc.Add(x)
+	}
+	if acc.Min() != -1 || acc.Max() != 5 {
+		t.Fatalf("Min/Max = %v/%v", acc.Min(), acc.Max())
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := Median(xs); got != 3 {
-		t.Fatalf("Median = %v", got)
+// batchMeanVariance is the two-pass reference the streaming
+// accumulator must agree with: the mean and the unbiased (n-1) sample
+// variance of xs (len(xs) >= 2).
+func batchMeanVariance(xs []float64) (mean, variance float64) {
+	for _, x := range xs {
+		mean += x
 	}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Fatalf("Q0 = %v", got)
+	mean /= float64(len(xs))
+	for _, x := range xs {
+		d := x - mean
+		variance += d * d
 	}
-	if got := Quantile(xs, 1); got != 5 {
-		t.Fatalf("Q1 = %v", got)
-	}
-	if got := Quantile(xs, 0.25); got != 2 {
-		t.Fatalf("Q.25 = %v", got)
-	}
-	// Interpolation between order statistics.
-	if got := Quantile([]float64{1, 2}, 0.5); got != 1.5 {
-		t.Fatalf("interpolated median = %v", got)
-	}
-}
-
-func TestQuantileDoesNotMutate(t *testing.T) {
-	xs := []float64{5, 1, 3}
-	_ = Median(xs)
-	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
-		t.Fatalf("Quantile mutated input: %v", xs)
-	}
+	return mean, variance / float64(len(xs)-1)
 }
 
 func TestAccumulatorMatchesBatch(t *testing.T) {
@@ -79,10 +74,15 @@ func TestAccumulatorMatchesBatch(t *testing.T) {
 		for _, x := range xs {
 			acc.Add(x)
 		}
-		scale := math.Max(1, math.Abs(Mean(xs)))
-		return almostEqual(acc.Mean(), Mean(xs), 1e-6*scale) &&
-			almostEqual(acc.Variance(), Variance(xs), 1e-4*math.Max(1, Variance(xs))) &&
-			acc.Min() == Min(xs) && acc.Max() == Max(xs) && acc.N() == len(xs)
+		mean, variance := batchMeanVariance(xs)
+		lo, hi := xs[0], xs[0]
+		for _, x := range xs {
+			lo, hi = math.Min(lo, x), math.Max(hi, x)
+		}
+		scale := math.Max(1, math.Abs(mean))
+		return almostEqual(acc.Mean(), mean, 1e-6*scale) &&
+			almostEqual(acc.Variance(), variance, 1e-4*math.Max(1, variance)) &&
+			acc.Min() == lo && acc.Max() == hi && acc.N() == len(xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

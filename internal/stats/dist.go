@@ -1,9 +1,9 @@
 // Package stats implements the statistical primitives the linkage
 // disequilibrium pipeline is built on: the chi-square distribution,
-// descriptive statistics, streaming accumulators and contingency-table
-// tests. Everything is implemented from standard numerical algorithms
-// (Lanczos log-gamma, series/continued-fraction incomplete gamma) using
-// only the standard library.
+// a streaming accumulator and the contingency table CLUMP scores.
+// Everything is implemented from standard numerical algorithms
+// (Lanczos log-gamma, series/continued-fraction incomplete gamma)
+// using only the standard library.
 package stats
 
 import (
@@ -129,32 +129,4 @@ func ChiSquareSurvival(x float64, df int) float64 {
 		return 0
 	}
 	return q
-}
-
-// ChiSquareQuantile returns the x with ChiSquareCDF(x, df) = p, found
-// by bisection (robust; called only in tests and reporting, never in
-// inner loops).
-func ChiSquareQuantile(p float64, df int) float64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	lo, hi := 0.0, float64(df)
-	for ChiSquareCDF(hi, df) < p {
-		hi *= 2
-		if hi > 1e9 {
-			break
-		}
-	}
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if ChiSquareCDF(mid, df) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
 }

@@ -1,10 +1,5 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
-
 // Table is a dense r x c contingency table of non-negative counts.
 // Counts are float64 because the linkage pipeline fills tables with
 // EM-estimated (fractional) haplotype counts, exactly as the original
@@ -21,28 +16,6 @@ func NewTable(r, c int) *Table {
 		panic("stats: NewTable requires positive dimensions")
 	}
 	return &Table{rows: r, cols: c, data: make([]float64, r*c)}
-}
-
-// TableFromRows builds a table from row slices, which must be
-// non-empty and of equal length.
-func TableFromRows(rows [][]float64) (*Table, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, fmt.Errorf("stats: table needs at least one row and column")
-	}
-	c := len(rows[0])
-	t := NewTable(len(rows), c)
-	for i, row := range rows {
-		if len(row) != c {
-			return nil, fmt.Errorf("stats: ragged table: row %d has %d columns, want %d", i, len(row), c)
-		}
-		for j, v := range row {
-			if v < 0 || math.IsNaN(v) {
-				return nil, fmt.Errorf("stats: invalid count %v at (%d,%d)", v, i, j)
-			}
-			t.Set(i, j, v)
-		}
-	}
-	return t, nil
 }
 
 // Reset reshapes t to r x c (both positive), reusing the backing
@@ -75,16 +48,6 @@ func (t *Table) At(i, j int) float64 { return t.data[i*t.cols+j] }
 
 // Set stores v at (i, j).
 func (t *Table) Set(i, j int, v float64) { t.data[i*t.cols+j] = v }
-
-// Add increments (i, j) by v.
-func (t *Table) Add(i, j int, v float64) { t.data[i*t.cols+j] += v }
-
-// Clone returns a deep copy of the table.
-func (t *Table) Clone() *Table {
-	c := NewTable(t.rows, t.cols)
-	copy(c.data, t.data)
-	return c
-}
 
 // RowTotals returns the marginal row sums.
 func (t *Table) RowTotals() []float64 { return t.RowTotalsInto(nil) }
@@ -126,19 +89,12 @@ func (t *Table) ColTotalsInto(dst []float64) []float64 {
 	return dst
 }
 
-// Total returns the grand total of the table.
-func (t *Table) Total() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v
-	}
-	return s
-}
-
 // ChiSquare returns the Pearson chi-square statistic of the table and
 // its degrees of freedom. Columns or rows with zero marginal totals
 // contribute nothing and reduce the degrees of freedom, matching the
 // behaviour of the CLUMP program on sparse tables.
+//
+//ldvet:allow deadexport: test reference; TestT1MatchesPearson checks clump's T1 against this Pearson statistic
 func (t *Table) ChiSquare() (statistic float64, df int) {
 	return t.ChiSquareFrom(t.RowTotals(), t.ColTotals())
 }
@@ -183,71 +139,4 @@ func (t *Table) ChiSquareFrom(rt, ct []float64) (statistic float64, df int) {
 		}
 	}
 	return chi, (liveRows - 1) * (liveCols - 1)
-}
-
-// GStatistic returns the likelihood-ratio G statistic of the table and
-// its degrees of freedom (same df convention as ChiSquare).
-func (t *Table) GStatistic() (statistic float64, df int) {
-	rt := t.RowTotals()
-	ct := t.ColTotals()
-	total := 0.0
-	for _, v := range rt {
-		total += v
-	}
-	if total == 0 {
-		return 0, 0
-	}
-	liveRows, liveCols := 0, 0
-	for _, v := range rt {
-		if v > 0 {
-			liveRows++
-		}
-	}
-	for _, v := range ct {
-		if v > 0 {
-			liveCols++
-		}
-	}
-	if liveRows < 2 || liveCols < 2 {
-		return 0, 0
-	}
-	g := 0.0
-	for i := 0; i < t.rows; i++ {
-		for j := 0; j < t.cols; j++ {
-			o := t.At(i, j)
-			if o == 0 || rt[i] == 0 || ct[j] == 0 {
-				continue
-			}
-			expected := rt[i] * ct[j] / total
-			g += o * math.Log(o/expected)
-		}
-	}
-	return 2 * g, (liveRows - 1) * (liveCols - 1)
-}
-
-// CramersV returns Cramer's V association measure derived from the
-// Pearson chi-square, in [0, 1]. Returns 0 for degenerate tables.
-func (t *Table) CramersV() float64 {
-	chi, df := t.ChiSquare()
-	if df == 0 {
-		return 0
-	}
-	total := t.Total()
-	k := t.rows
-	if t.cols < k {
-		k = t.cols
-	}
-	if k < 2 || total == 0 {
-		return 0
-	}
-	return math.Sqrt(chi / (total * float64(k-1)))
-}
-
-// PValue returns the asymptotic chi-square p-value of the table.
-func (t *Table) PValue() float64 {
-	chi, df := t.ChiSquare()
-	if df == 0 {
-		return 1
-	}
-	return ChiSquareSurvival(chi, df)
 }

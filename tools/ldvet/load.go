@@ -352,9 +352,12 @@ func collectAllows(fset *token.FileSet, files []*ast.File) map[string]map[int][]
 }
 
 // analyzers is the suite registry; each entry runs over one unit.
+// deadexport has no per-unit half: it is only the cross-unit pass
+// runAnalyzers calls.
 var analyzers = map[string]func(*unit, *config) []finding{
-	"mutexio":  runMutexIO,
-	"wiretag":  runWiretag,
-	"ctxflow":  runCtxflow,
-	"floatdet": runFloatdet,
+	"mutexio":    runMutexIO,
+	"wiretag":    runWiretag,
+	"ctxflow":    runCtxflow,
+	"floatdet":   runFloatdet,
+	"deadexport": func(*unit, *config) []finding { return nil },
 }

@@ -31,6 +31,16 @@
 //	           math/rand (unseedable global source) and time.Now —
 //	           the constructs that silently break the packed-vs-byte
 //	           contract.
+//	deadexport — no exported func, method, type, var or const under
+//	           internal/ that no non-test file of any loaded package
+//	           references outside its own declaration. Methods that
+//	           implement an interface the loaded code knows of (or a
+//	           stdlib-implicit one: String, Error, MarshalJSON, …),
+//	           methods of types a public package re-exports by alias,
+//	           and packages only _test.go files import are exempt.
+//	           A cross-package pass: run it over ./... (perfbench/
+//	           included), or an export whose users were not loaded is
+//	           reported.
 //
 // A finding is suppressed by an annotation comment on its line, the
 // line above it, or (for mutexio) the line taking the lock:
@@ -54,7 +64,7 @@ import (
 func main() {
 	cfg := defaultConfig()
 	var enable string
-	flag.StringVar(&enable, "enable", "mutexio,wiretag,ctxflow,floatdet", "comma-separated analyzers to run")
+	flag.StringVar(&enable, "enable", "mutexio,wiretag,ctxflow,floatdet,deadexport", "comma-separated analyzers to run")
 	flag.BoolVar(&cfg.jsonOut, "json", false, "emit findings as a JSON array on stdout")
 	flag.StringVar(&cfg.goldenPath, "wiretags", cfg.goldenPath, "path of the wire-tag golden manifest")
 	flag.BoolVar(&cfg.update, "update", false, "rewrite the wire-tag golden manifest instead of diffing it")
@@ -74,7 +84,7 @@ func main() {
 			continue
 		}
 		if _, ok := analyzers[name]; !ok {
-			fmt.Fprintf(os.Stderr, "ldvet: unknown analyzer %q (have mutexio, wiretag, ctxflow, floatdet)\n", name)
+			fmt.Fprintf(os.Stderr, "ldvet: unknown analyzer %q (have mutexio, wiretag, ctxflow, floatdet, deadexport)\n", name)
 			os.Exit(2)
 		}
 		cfg.enable[name] = true
@@ -117,7 +127,8 @@ func main() {
 }
 
 // runAnalyzers runs every enabled analyzer over every unit, then the
-// cross-unit wiretag manifest check, and returns the surviving
+// cross-unit passes (the wiretag manifest check and deadexport), and
+// returns the surviving
 // (non-suppressed) findings sorted by position.
 func runAnalyzers(units []*unit, cfg *config) ([]finding, error) {
 	var out []finding
@@ -135,6 +146,13 @@ func runAnalyzers(units []*unit, cfg *config) ([]finding, error) {
 			return nil, err
 		}
 		out = append(out, manifest...)
+	}
+	if cfg.enable["deadexport"] {
+		dead, err := checkDeadExports(units)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, dead...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Pos != out[j].Pos {

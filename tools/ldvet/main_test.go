@@ -11,13 +11,19 @@ import (
 
 // fixtureDirs lists every fixture package under testdata/src. The
 // floatdet fixture nests under internal/genotype so its import path
-// suffix-matches the real kernel scope.
+// suffix-matches the real kernel scope; the deadexport fixture is a
+// small module tree (a public root, internal packages, a user) whose
+// packages import each other by their in-module paths.
 var fixtureDirs = []string{
 	"testdata/src/mutexio",
 	"testdata/src/wiretag",
 	"testdata/src/ctxflow",
 	"testdata/src/floatdet/internal/genotype",
 	"testdata/src/clean",
+	"testdata/src/deadexport",
+	"testdata/src/deadexport/internal/lib",
+	"testdata/src/deadexport/internal/testonly",
+	"testdata/src/deadexport/user",
 }
 
 // Loading type-checks the stdlib from source, which dominates the
@@ -95,9 +101,45 @@ func fileLine(pos string) string {
 	return pos
 }
 
+// matchWants checks findings against the units' // want comments
+// exactly: every want must be hit, every finding must be wanted.
+func matchWants(t *testing.T, units []*unit, findings []finding) {
+	t.Helper()
+	wants := map[string][]string{}
+	for _, u := range units {
+		for key, substrs := range wantComments(t, u) {
+			wants[key] = append(wants[key], substrs...)
+		}
+	}
+	if len(wants) == 0 {
+		t.Fatalf("fixture has no want comments")
+	}
+	matched := map[string]bool{} // "file:line substr" -> hit
+	for _, f := range findings {
+		key := fileLine(f.Pos)
+		ok := false
+		for _, substr := range wants[key] {
+			if strings.Contains(f.Msg, substr) {
+				matched[key+" "+substr] = true
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			t.Errorf("unexpected finding at %s: [%s] %s", f.Pos, f.Analyzer, f.Msg)
+		}
+	}
+	for key, substrs := range wants {
+		for _, substr := range substrs {
+			if !matched[key+" "+substr] {
+				t.Errorf("missing finding at %s matching %q", key, substr)
+			}
+		}
+	}
+}
+
 // TestFixtures runs the whole suite over each finding fixture and
-// matches the results against the // want comments exactly: every
-// want must be hit, every finding must be wanted.
+// matches the results against the // want comments.
 func TestFixtures(t *testing.T) {
 	for _, path := range []string{"mutexio", "wiretag", "ctxflow", "floatdet/internal/genotype"} {
 		t.Run(strings.ReplaceAll(path, "/", "_"), func(t *testing.T) {
@@ -109,33 +151,37 @@ func TestFixtures(t *testing.T) {
 			if len(findings) == 0 {
 				t.Fatalf("no findings; the fixture wants some")
 			}
-			wants := wantComments(t, u)
-			if len(wants) == 0 {
-				t.Fatalf("fixture has no want comments")
-			}
-			matched := map[string]bool{} // "file:line substr" -> hit
-			for _, f := range findings {
-				key := fileLine(f.Pos)
-				ok := false
-				for _, substr := range wants[key] {
-					if strings.Contains(f.Msg, substr) {
-						matched[key+" "+substr] = true
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					t.Errorf("unexpected finding at %s: [%s] %s", f.Pos, f.Analyzer, f.Msg)
-				}
-			}
-			for key, substrs := range wants {
-				for _, substr := range substrs {
-					if !matched[key+" "+substr] {
-						t.Errorf("missing finding at %s matching %q", key, substr)
-					}
-				}
-			}
+			matchWants(t, []*unit{u}, findings)
 		})
+	}
+}
+
+// TestDeadExportFixture runs deadexport over the fixture tree as one
+// load: lib's dead declarations are flagged; what user references
+// from another unit, the interface-implementing and stdlib-implicit
+// methods, the aliased type's method, the allowed declaration and the
+// package only a _test.go file imports are not.
+func TestDeadExportFixture(t *testing.T) {
+	var units []*unit
+	for _, path := range []string{"deadexport", "deadexport/internal/lib", "deadexport/internal/testonly", "deadexport/user"} {
+		units = append(units, fixtureUnit(t, path))
+	}
+	cfg := fixtureConfig()
+	cfg.enable = map[string]bool{"deadexport": true}
+	findings, err := runAnalyzers(units, cfg)
+	if err != nil {
+		t.Fatalf("runAnalyzers: %v", err)
+	}
+	matchWants(t, units, findings)
+
+	// Without the unit that references them, lib's live exports are
+	// reported too: the pass only sees what was loaded.
+	partial, err := runAnalyzers(units[:3], cfg)
+	if err != nil {
+		t.Fatalf("runAnalyzers: %v", err)
+	}
+	if len(partial) <= len(findings) {
+		t.Errorf("dropping package user reported %d findings, want more than the full load's %d", len(partial), len(findings))
 	}
 }
 
