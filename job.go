@@ -29,6 +29,7 @@ type Job struct {
 	traced bool
 	result *GAResult
 	err    error
+	ended  time.Time // set when done closes
 }
 
 // progressBuffer is the Job progress channel's capacity. A consumer
@@ -75,6 +76,7 @@ func (s *Session) Start(ctx context.Context, opts ...Option) (*Job, error) {
 		j.mu.Lock()
 		j.result = res
 		j.err = wrapRunErr(err)
+		j.ended = time.Now()
 		j.mu.Unlock()
 		s.releaseJob()
 		// done closes first: a consumer that drains Progress to its
@@ -189,7 +191,8 @@ type JobReport struct {
 	// improvement; an island-model run reports the minimum across
 	// islands (the most active island's view).
 	Stagnation int `json:"stagnation"`
-	// Elapsed is the wall-clock time since Start.
+	// Elapsed is the wall-clock time since Start while the run is
+	// live, and the run's duration once it has ended.
 	Elapsed time.Duration `json:"elapsed_ns"`
 	// Engine carries the backend counters, nil when untracked.
 	Engine *EngineReport `json:"engine,omitempty"`
@@ -202,13 +205,14 @@ type JobReport struct {
 // Report snapshots the job's live state. It is safe to call at any
 // time from any goroutine — the handle an HTTP status endpoint polls.
 func (j *Job) Report() JobReport {
-	rep := JobReport{Elapsed: time.Since(j.started)}
+	var rep JobReport
 	select {
 	case <-j.done:
 	default:
 		rep.Running = true
 	}
 	j.mu.Lock()
+	rep.Elapsed = elapsed(j.started, j.ended)
 	if j.traced {
 		rep.BestBySize = make(map[int]float64)
 		first := true
@@ -242,4 +246,13 @@ func (j *Job) Report() JobReport {
 		rep.Engine = &er
 	}
 	return rep
+}
+
+// elapsed is a run's wall-clock time: since started while it is live
+// (ended zero), and ended − started once it has finished.
+func elapsed(started, ended time.Time) time.Duration {
+	if ended.IsZero() {
+		return time.Since(started)
+	}
+	return ended.Sub(started)
 }

@@ -198,3 +198,25 @@ func TestJobProgressConflatesUnderSlowConsumer(t *testing.T) {
 	for range job.Progress() {
 	}
 }
+
+// TestJobReportElapsedStopsAtEnd: once a job has ended, Report's
+// Elapsed is the run's duration, so two reads a sleep apart agree.
+func TestJobReportElapsedStopsAtEnd(t *testing.T) {
+	s, err := repro.NewSession(backendTestDataset(t), repro.WithWorkers(2), repro.WithGAConfig(backendTestConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	job, err := s.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	first := job.Report().Elapsed
+	time.Sleep(10 * time.Millisecond)
+	if second := job.Report().Elapsed; first != second || first <= 0 {
+		t.Fatalf("finished job's Elapsed moved: %v then %v", first, second)
+	}
+}

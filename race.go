@@ -112,6 +112,7 @@ type RaceJob struct {
 	mu     sync.Mutex
 	result *RaceResult
 	err    error
+	ended  time.Time // set when done closes
 }
 
 // Race launches the spec's lanes as one background race over this
@@ -194,6 +195,7 @@ func (s *Session) Race(ctx context.Context, spec RaceSpec) (*RaceJob, error) {
 		} else {
 			rj.err = err
 		}
+		rj.ended = time.Now()
 		rj.mu.Unlock()
 		s.releaseJob()
 		close(rj.done)
@@ -346,10 +348,13 @@ func (rj *RaceJob) Snapshot() RaceBoard { return rj.r.Snapshot() }
 // per-statistic race engines).
 func (rj *RaceJob) Report() JobReport {
 	b := rj.r.Snapshot()
+	rj.mu.Lock()
+	ended := rj.ended
+	rj.mu.Unlock()
 	rep := JobReport{
 		Running:     !b.Finished,
 		Evaluations: b.TotalEvaluations,
-		Elapsed:     time.Since(rj.started),
+		Elapsed:     elapsed(rj.started, ended),
 	}
 	if er, ok := rj.session.raceEngineReport(); ok {
 		rep.Engine = &er

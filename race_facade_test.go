@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/baseline"
@@ -421,5 +422,30 @@ func TestRaceValidation(t *testing.T) {
 	// Every failure above must have released its slot.
 	if s.ActiveJobs() != 0 {
 		t.Fatalf("ActiveJobs = %d after failed races", s.ActiveJobs())
+	}
+}
+
+// TestRaceReportElapsedStopsAtEnd: once a race has ended, Report's
+// Elapsed is the race's duration, so two reads a sleep apart agree.
+func TestRaceReportElapsedStopsAtEnd(t *testing.T) {
+	s, err := repro.NewSession(backendTestDataset(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	job, err := s.Race(context.Background(), repro.RaceSpec{
+		Lanes:      []repro.RaceLaneSpec{{Optimizer: "exhaustive"}},
+		SubsetSize: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	first := job.Report().Elapsed
+	time.Sleep(10 * time.Millisecond)
+	if second := job.Report().Elapsed; first != second || first <= 0 {
+		t.Fatalf("finished race's Elapsed moved: %v then %v", first, second)
 	}
 }

@@ -104,24 +104,37 @@ func startGA(ctx context.Context, se *sessionEntry, _ string, req JobRequest) (r
 	return gaHandle{j}, nil
 }
 
-// jobEntry is the registry's record of one background run: the run
-// handle, its cancel function (DELETE and drain both go through the
-// context path), and the frame fan-out state.
+// jobEntry is the registry's record of one job. While the run is
+// live, run is its handle and every read asks it. When the run ends,
+// the pump builds the terminal status once, persists it and stores it
+// as final in place of run. From then on GET, DELETE, listings, the
+// done frame and the stored record are that one document, and the
+// handle, with everything it holds, is released. A job restored from
+// the store is a finished entry from the start.
 type jobEntry struct {
 	id        string
 	sessionID string
-	job       runHandle
-	req       *JobRequest // persisted with the record so restore can resume sweeps
-	cancel    context.CancelFunc
-	storeVer  int64 // job record's store version (guarded by Registry.mu)
-	// ended is closed by the pump once the run is over and its session
-	// slot is free; the job reports a terminal state only from then on.
+	req       *JobRequest        // persisted with the record so restore can resume sweeps
+	cancel    context.CancelFunc // DELETE and drain both go through the context path
+	storeVer  int64              // the running record's store version, set before the pump starts
+	// ended is closed once final is set: the run is over, its session
+	// slot free and its outcome persisted.
 	ended chan struct{}
 
 	mu        sync.Mutex
+	run       runHandle // nil once finished
+	final     JobInfo   // the terminal status, once run is nil
 	subs      map[chan frame]struct{}
 	latest    frame
 	hasLatest bool
+}
+
+// finishedEntry is the entry of a job whose status is already final:
+// one restored from the store.
+func finishedEntry(info JobInfo) *jobEntry {
+	ended := make(chan struct{})
+	close(ended)
+	return &jobEntry{id: info.ID, sessionID: info.SessionID, cancel: func() {}, ended: ended, final: info}
 }
 
 // subscriberBuffer is each SSE subscriber's channel capacity. Like
@@ -131,26 +144,26 @@ const subscriberBuffer = 16
 
 // pump drains the run's stream and fans each frame out to every
 // subscriber with per-subscriber conflation. When the run ends it
-// frees the session slot before closing the subscriber channels, so a
-// client that has seen done can start its next job at once. Runs as
-// one goroutine per job; exits (and releases the registry's job
-// WaitGroup count) once the outcome is persisted.
+// builds the final status, frees the session slot, persists the
+// status and only then swaps it in for the handle and closes the
+// subscriber channels, so a client that has seen done can start its
+// next job at once and reads the document a restart restores. Runs as
+// one goroutine per job; the only writer of run.
 func (je *jobEntry) pump(r *Registry) {
 	defer r.jobsWG.Done()
-	je.job.events(je.publish)
+	je.run.events(je.publish)
+	final := je.status(je.run, true)
 	r.releaseSlot(je.sessionID)
-	close(je.ended)
+	r.persistJobFinal(je, final)
 	je.mu.Lock()
+	je.run, je.final = nil, final
 	for ch := range je.subs {
 		close(ch)
 	}
 	je.subs = nil
+	close(je.ended)
 	je.mu.Unlock()
-	// Persist the outcome: the record, created in state "running",
-	// is re-written with the terminal state and result — this is what
-	// a durable store serves after a restart, and what distinguishes
-	// a finished job from one interrupted by a crash.
-	r.persistJobFinal(je)
+	r.running.Add(-1)
 }
 
 // publish records f as the latest frame and hands it to every
@@ -191,16 +204,14 @@ func conflatedSend[T any](ch chan T, v T) {
 
 // subscribe registers a new conflated frame channel, pre-seeded with
 // the latest frame so a late joiner sees current state at once. It
-// returns a nil channel once the run has ended (the caller serves
+// returns a nil channel once the job is finished (the caller serves
 // finalFrames instead). off detaches (idempotent; pump may
 // concurrently close the channel).
 func (je *jobEntry) subscribe() (<-chan frame, func()) {
 	je.mu.Lock()
 	defer je.mu.Unlock()
-	select {
-	case <-je.ended:
+	if je.run == nil {
 		return nil, nil
-	default:
 	}
 	ch := make(chan frame, subscriberBuffer)
 	if je.hasLatest {
@@ -221,17 +232,30 @@ func (je *jobEntry) subscribe() (<-chan frame, func()) {
 	return ch, off
 }
 
-// info assembles the job's wire status from the live run handle.
+// info is the job's wire status: asked of the run handle while the
+// run is live, the final document once it is finished.
 func (je *jobEntry) info() JobInfo {
+	je.mu.Lock()
+	h, final := je.run, je.final
+	je.mu.Unlock()
+	if h == nil {
+		return final
+	}
+	return je.status(h, false)
+}
+
+// status assembles the job's wire status from its run handle: state
+// JobRunning while the run is live, and once it has ended (ended
+// true) the terminal state, error and outcome.
+func (je *jobEntry) status(h runHandle, ended bool) JobInfo {
 	ji := JobInfo{
 		ID:        je.id,
 		SessionID: je.sessionID,
 		State:     JobRunning,
-		Report:    je.job.Report(),
+		Report:    h.Report(),
 	}
-	select {
-	case <-je.ended:
-		err := je.job.wait() // ended: returns immediately
+	if ended {
+		err := h.wait() // ended: returns immediately
 		switch {
 		case err == nil:
 			ji.State = JobDone
@@ -242,8 +266,7 @@ func (je *jobEntry) info() JobInfo {
 			ji.State = JobFailed
 			ji.Error = err.Error()
 		}
-	default:
 	}
-	je.job.fill(&ji)
+	h.fill(&ji)
 	return ji
 }

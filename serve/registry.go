@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -83,13 +84,13 @@ type Registry struct {
 	cfg RegistryConfig
 
 	persistFails atomic.Int64 // store writes/deletes that failed (see EngineTotals)
+	running      atomic.Int64 // jobs whose run has not finished (see RunningJobs)
 
 	mu       sync.Mutex
 	store    Store
 	datasets map[string]*datasetEntry
 	sessions map[string]*sessionEntry
-	jobs     map[string]*jobEntry
-	archive  map[string]*archivedJob // restored from the store; no live handle
+	jobs     map[string]*jobEntry // running, finished and restored alike
 	sessSeq  int
 	jobSeq   int
 	draining bool
@@ -125,17 +126,9 @@ type sessionEntry struct {
 	active    int                  // job slots held: launching or running jobs (see launch)
 	shardSize int                  // effective columns per shard; 0 = monolithic
 	sharded   *repro.ShardedEngine // the shared backend, when sharded (sweep jobs need it)
-	jobIDs    []string
+	jobIDs    []string             // in id order (see addJobID)
 	lastUsed  time.Time
 	ver       int64 // store record version
-}
-
-// archivedJob is a job restored from the store after a restart: its
-// outcome document without a live Job handle. Restored "running"
-// records have already been rewritten as JobInterrupted.
-type archivedJob struct {
-	info JobInfo
-	ver  int64
 }
 
 // datasetRecord is the stored document of one dataset: the upload
@@ -178,7 +171,6 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 		datasets: make(map[string]*datasetEntry),
 		sessions: make(map[string]*sessionEntry),
 		jobs:     make(map[string]*jobEntry),
-		archive:  make(map[string]*archivedJob),
 	}
 	if r.cfg.SweepInterval > 0 {
 		r.janitorEnd = make(chan struct{})
@@ -209,7 +201,7 @@ func (r *Registry) UseStore(st Store) error {
 		r.mu.Unlock()
 		return err
 	}
-	if len(r.datasets)+len(r.sessions)+len(r.jobs)+len(r.archive) > 0 {
+	if len(r.datasets)+len(r.sessions)+len(r.jobs) > 0 {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: UseStore requires a fresh registry", repro.ErrBadConfig)
 	}
@@ -314,32 +306,30 @@ func (r *Registry) restoreLocked() ([]storedJob, error) {
 					continue
 				}
 			}
-			aj, err := r.markInterrupted(rec, jr)
-			if err != nil {
+			var err error
+			if jr.JobInfo, err = r.markInterrupted(rec, jr); err != nil {
 				return nil, err
 			}
-			r.archive[rec.ID] = aj
-		} else {
-			r.archive[rec.ID] = &archivedJob{info: jr.JobInfo, ver: rec.Version}
 		}
-		se.jobIDs = append(se.jobIDs, rec.ID)
+		r.jobs[rec.ID] = finishedEntry(jr.JobInfo)
+		se.addJobID(rec.ID)
 	}
 	return resumes, nil
 }
 
 // markInterrupted rewrites the record of a job the previous process
 // never finished — and that never persisted a result — as
-// JobInterrupted, so clients see what happened.
-func (r *Registry) markInterrupted(rec Record, jr jobRecord) (*archivedJob, error) {
+// JobInterrupted, so clients see what happened, and returns the
+// rewritten status.
+func (r *Registry) markInterrupted(rec Record, jr jobRecord) (JobInfo, error) {
 	info := jr.JobInfo
 	info.State = JobInterrupted
 	info.Error = "job interrupted by server restart before completion; resubmit to recompute"
 	info.Report.Running = false
-	ver, err := r.putRecord(KindJob, rec.ID, rec.Version, jobRecord{JobInfo: info, Request: jr.Request})
-	if err != nil {
-		return nil, fmt.Errorf("serve: restore: job %s: %w", rec.ID, err)
+	if _, err := r.putRecord(KindJob, rec.ID, rec.Version, jobRecord{JobInfo: info, Request: jr.Request}); err != nil {
+		return JobInfo{}, fmt.Errorf("serve: restore: job %s: %w", rec.ID, err)
 	}
-	return &archivedJob{info: info, ver: ver}, nil
+	return info, nil
 }
 
 // storedJob is one job record read back from the store.
@@ -356,15 +346,15 @@ func (r *Registry) resume(rec Record, jr jobRecord) error {
 	if _, err := r.launch(jr.SessionID, rec.ID, rec.Version, *jr.Request, start); err == nil {
 		return nil
 	}
-	aj, err := r.markInterrupted(rec, jr)
+	info, err := r.markInterrupted(rec, jr)
 	if err != nil {
 		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.archive[rec.ID] = aj
+	r.jobs[rec.ID] = finishedEntry(info)
 	if se, ok := r.sessions[jr.SessionID]; ok {
-		se.jobIDs = append(se.jobIDs, rec.ID)
+		se.addJobID(rec.ID)
 	}
 	return nil
 }
@@ -784,7 +774,7 @@ func (r *Registry) launch(sessionID, id string, ver int64, req JobRequest, start
 	je := &jobEntry{
 		id:        id,
 		sessionID: se.id,
-		job:       h,
+		run:       h,
 		req:       &req,
 		cancel:    cancel,
 		ended:     make(chan struct{}),
@@ -797,7 +787,8 @@ func (r *Registry) launch(sessionID, id string, ver int64, req JobRequest, start
 		r.mu.Lock()
 		if err = r.usable(); err == nil {
 			r.jobs[id] = je
-			se.jobIDs = append(se.jobIDs, id)
+			se.addJobID(id)
+			r.running.Add(1)
 			r.jobsWG.Add(1)
 			r.mu.Unlock()
 			go je.pump(r)
@@ -813,6 +804,15 @@ func (r *Registry) launch(sessionID, id string, ver int64, req JobRequest, start
 	return JobInfo{}, err
 }
 
+// addJobID records a job id in the session's list at its place in id
+// order. Ids do not arrive in that order: restore reads them in store
+// order, and concurrent launches register theirs only after an fsync'd
+// write, so a later id can land first.
+func (se *sessionEntry) addJobID(id string) {
+	i := sort.Search(len(se.jobIDs), func(k int) bool { return idLess(id, se.jobIDs[k]) })
+	se.jobIDs = slices.Insert(se.jobIDs, i, id)
+}
+
 // releaseSlot returns a job slot taken by launch. The run's end is
 // session activity, so it also restarts the idle-eviction clock.
 func (r *Registry) releaseSlot(sessionID string) {
@@ -824,25 +824,25 @@ func (r *Registry) releaseSlot(sessionID string) {
 	r.mu.Unlock()
 }
 
-// persistJobFinal re-writes the job's record with its terminal state
-// and result; the pump calls it once when the run ends. The fsync'd
+// persistJobFinal re-writes the job's record with its final status
+// info, the document every later read returns; the pump calls it once
+// when the run ends. The record, created in state "running", is what
+// a durable store serves after a restart, and its terminal state is
+// what tells a finished job from one a crash interrupted. The fsync'd
 // write happens outside the registry lock; the CAS version protects
 // against the record having moved on (evicted with its session, or
 // rewritten as interrupted by a successor process) — those conflicts
 // are benign and skipped, while real store failures are counted
 // (EngineTotals.StoreFailures) and logged, since they mean the result
 // will not survive a restart.
-func (r *Registry) persistJobFinal(je *jobEntry) {
-	info := je.info() // outside the lock: hits the Job handle
+func (r *Registry) persistJobFinal(je *jobEntry, info JobInfo) {
 	r.mu.Lock()
-	if _, ok := r.jobs[je.id]; !ok {
-		r.mu.Unlock()
+	_, ok := r.jobs[je.id]
+	r.mu.Unlock()
+	if !ok {
 		return // evicted: record deleted with its session
 	}
-	ver := je.storeVer
-	r.mu.Unlock()
-	newVer, err := r.putRecord(KindJob, je.id, ver, jobRecord{JobInfo: info, Request: je.req})
-	if err != nil {
+	if _, err := r.putRecord(KindJob, je.id, je.storeVer, jobRecord{JobInfo: info, Request: je.req}); err != nil {
 		if !errors.Is(err, ErrVersionConflict) {
 			r.persistFails.Add(1)
 			slog.Warn("serve: persisting job outcome failed; the result will not survive a restart",
@@ -856,42 +856,29 @@ func (r *Registry) persistJobFinal(je *jobEntry) {
 	// state "running") keeps the checkpoint, and that pair is exactly
 	// what restore resumes from.
 	r.deleteRecord(KindCheckpoint, je.id)
-	r.mu.Lock()
-	if _, ok := r.jobs[je.id]; ok {
-		je.storeVer = newVer
-	}
-	r.mu.Unlock()
 }
 
-// jobRef resolves a job id to its live entry or its archived record.
-func (r *Registry) jobRef(id string) (*jobEntry, *archivedJob, error) {
+// jobRef resolves a job id to its entry.
+func (r *Registry) jobRef(id string) (*jobEntry, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if je, ok := r.jobs[id]; ok {
-		if se, ok := r.sessions[je.sessionID]; ok {
-			se.lastUsed = time.Now()
-		}
-		return je, nil, nil
+	je, ok := r.jobs[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: job %q", ErrNotFound, id)
 	}
-	if aj, ok := r.archive[id]; ok {
-		if se, ok := r.sessions[aj.info.SessionID]; ok {
-			se.lastUsed = time.Now()
-		}
-		return nil, aj, nil
+	if se, ok := r.sessions[je.sessionID]; ok {
+		se.lastUsed = time.Now()
 	}
-	return nil, nil, fmt.Errorf("%w: job %q", ErrNotFound, id)
+	return je, nil
 }
 
 // Job returns a job's live status (and, once finished, its result).
 // After a restart against a durable store, finished jobs answer with
 // their persisted outcome and interrupted ones with JobInterrupted.
 func (r *Registry) Job(id string) (JobInfo, error) {
-	je, aj, err := r.jobRef(id)
+	je, err := r.jobRef(id)
 	if err != nil {
 		return JobInfo{}, err
-	}
-	if aj != nil {
-		return aj.info, nil
 	}
 	return je.info(), nil
 }
@@ -900,12 +887,9 @@ func (r *Registry) Job(id string) (JobInfo, error) {
 // returning the partial result. Stopping a finished (or restored)
 // job returns its outcome unchanged.
 func (r *Registry) StopJob(id string) (JobInfo, error) {
-	je, aj, err := r.jobRef(id)
+	je, err := r.jobRef(id)
 	if err != nil {
 		return JobInfo{}, err
-	}
-	if aj != nil {
-		return aj.info, nil
 	}
 	je.cancel()
 	<-je.ended // the run is over and its slot free
@@ -921,14 +905,11 @@ func (r *Registry) StopJob(id string) (JobInfo, error) {
 // status and an already-closed channel; the caller reads the outcome
 // from Job. Call off to detach.
 func (r *Registry) subscribe(jobID string) (ch <-chan frame, off func(), err error) {
-	je, aj, err := r.jobRef(jobID)
+	je, err := r.jobRef(jobID)
 	if err != nil {
 		return nil, nil, err
 	}
-	var ji JobInfo
-	if aj != nil {
-		ji = aj.info
-	} else if ch, detach := je.subscribe(); ch != nil {
+	if ch, detach := je.subscribe(); ch != nil {
 		// Detaching counts as session activity, so the idle-eviction
 		// clock restarts when a long stream ends (Sweep also skips
 		// sessions with live subscribers — see hasSubscribers).
@@ -936,10 +917,8 @@ func (r *Registry) subscribe(jobID string) (ch <-chan frame, off func(), err err
 			detach()
 			r.touchSession(je.sessionID)
 		}, nil
-	} else {
-		ji = je.info()
 	}
-	fs := finalFrames(ji)
+	fs := finalFrames(je.info())
 	final := make(chan frame, len(fs))
 	for _, f := range fs {
 		final <- f
@@ -987,9 +966,7 @@ func idLess(a, b string) bool {
 func page[T any](items []T, idOf func(T) string, cursor string, limit int) ([]T, string) {
 	start := 0
 	if cursor != "" {
-		for start < len(items) && !idLess(cursor, idOf(items[start])) {
-			start++
-		}
+		start = sort.Search(len(items), func(i int) bool { return idLess(cursor, idOf(items[i])) })
 	}
 	limit = listLimit(limit)
 	end := start + limit
@@ -1033,57 +1010,49 @@ func (r *Registry) ListSessions(cursor string, limit int) (SessionList, error) {
 // (unknown session ids answer ErrNotFound). Pagination as in
 // ListDatasets.
 func (r *Registry) ListJobs(sessionID, cursor string, limit int) (JobList, error) {
-	if sessionID != "" {
-		return r.listSessionJobs(sessionID, cursor, limit)
+	// Page the ids first, then build a JobInfo only for the page.
+	ids, next, err := r.pageJobIDs(sessionID, cursor, limit)
+	if err != nil {
+		return JobList{}, err
 	}
 	r.mu.Lock()
-	live := make([]*jobEntry, 0, len(r.jobs))
-	for _, je := range r.jobs {
-		live = append(live, je)
-	}
-	infos := make([]JobInfo, 0, len(live)+len(r.archive))
-	for _, aj := range r.archive {
-		infos = append(infos, aj.info)
-	}
-	r.mu.Unlock()
-	for _, je := range live {
-		infos = append(infos, je.info()) // outside the lock: hits the Job handle
-	}
-	sortByID(infos, func(i JobInfo) string { return i.ID })
-	items, next := page(infos, func(i JobInfo) string { return i.ID }, cursor, limit)
-	return JobList{Jobs: items, NextCursor: next}, nil
-}
-
-// listSessionJobs is ListJobs for one session, at a cost in proportion
-// to that session: it pages the session's own job ids (live and
-// restored alike) and builds a JobInfo only for the ids on the page.
-func (r *Registry) listSessionJobs(sessionID, cursor string, limit int) (JobList, error) {
-	r.mu.Lock()
-	se, ok := r.sessions[sessionID]
-	if !ok {
-		r.mu.Unlock()
-		return JobList{}, fmt.Errorf("%w: session %q", ErrNotFound, sessionID)
-	}
-	se.lastUsed = time.Now()
-	ids := slices.Clone(se.jobIDs)
-	sortByID(ids, func(id string) string { return id })
-	ids, next := page(ids, func(id string) string { return id }, cursor, limit)
-	infos := make([]JobInfo, len(ids))
-	live := make([]*jobEntry, len(ids))
-	for i, id := range ids {
-		if aj, ok := r.archive[id]; ok {
-			infos[i] = aj.info
-		} else {
-			live[i] = r.jobs[id]
+	entries := make([]*jobEntry, 0, len(ids))
+	for _, id := range ids {
+		if je, ok := r.jobs[id]; ok { // a registry-wide page may name a job evicted since
+			entries = append(entries, je)
 		}
 	}
 	r.mu.Unlock()
-	for i, je := range live {
-		if je != nil {
-			infos[i] = je.info() // outside the lock: hits the Job handle
-		}
+	infos := make([]JobInfo, len(entries))
+	for i, je := range entries {
+		infos[i] = je.info() // outside the lock: a running job asks its run handle
 	}
 	return JobList{Jobs: infos, NextCursor: next}, nil
+}
+
+// pageJobIDs returns one page of the ids a job listing covers, in id
+// order, and the next cursor. A session's ids are kept in order and
+// paged under the lock. For sessionID "" every job id is copied under
+// the lock and sorted after it drops, so the sort holds up no other
+// registry call.
+func (r *Registry) pageJobIDs(sessionID, cursor string, limit int) ([]string, string, error) {
+	byID := func(id string) string { return id }
+	r.mu.Lock()
+	if sessionID == "" {
+		ids := slices.Collect(maps.Keys(r.jobs))
+		r.mu.Unlock()
+		sortByID(ids, byID)
+		ids, next := page(ids, byID, cursor, limit)
+		return ids, next, nil
+	}
+	defer r.mu.Unlock()
+	se, ok := r.sessions[sessionID]
+	if !ok {
+		return nil, "", fmt.Errorf("%w: session %q", ErrNotFound, sessionID)
+	}
+	se.lastUsed = time.Now()
+	ids, next := page(se.jobIDs, byID, cursor, limit)
+	return slices.Clone(ids), next, nil
 }
 
 // sortByID sorts items by registry id order (see idLess).
@@ -1113,17 +1082,7 @@ func (r *Registry) BeginDrain() {
 
 // RunningJobs counts the jobs that have not finished yet.
 func (r *Registry) RunningJobs() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, je := range r.jobs {
-		select {
-		case <-je.ended:
-		default:
-			n++
-		}
-	}
-	return n
+	return int(r.running.Load())
 }
 
 func (r *Registry) usable() error {
@@ -1212,7 +1171,6 @@ func (r *Registry) dropSessionLocked(id string, se *sessionEntry, now time.Time)
 	refs := make([]recordRef, 0, 2*len(se.jobIDs)+1)
 	for _, jid := range se.jobIDs {
 		delete(r.jobs, jid)
-		delete(r.archive, jid)
 		refs = append(refs, recordRef{KindJob, jid}, recordRef{KindCheckpoint, jid})
 	}
 	delete(r.sessions, id)
@@ -1252,7 +1210,6 @@ func (r *Registry) Close() {
 	}
 	r.sessions = map[string]*sessionEntry{}
 	r.jobs = map[string]*jobEntry{}
-	r.archive = map[string]*archivedJob{}
 	for _, de := range r.datasets {
 		for _, ev := range de.backends {
 			ev.Close()

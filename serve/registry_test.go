@@ -2,12 +2,14 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -284,7 +286,7 @@ func TestRegistryDrain(t *testing.T) {
 
 // TestRegistryListSessionJobsPaging: a session listing walks the
 // session's own job ids. Over three pages of one session's jobs —
-// restored archived records from a previous life plus finished live
+// records restored from a previous life plus finished live
 // jobs of this one, beside another session's jobs — every page's ids,
 // infos and cursor must equal a brute-force listing that filters all
 // jobs by session, sorts them by id and slices pages of ten.
@@ -326,7 +328,7 @@ func TestRegistryListSessionJobsPaging(t *testing.T) {
 	runJobs(reg1, other.ID, 2, 100)
 	reg1.Close()
 
-	// Life 2 restores those as archived records and runs more jobs,
+	// Life 2 restores those records and runs more jobs,
 	// interleaving the two sessions' ids.
 	reg := serve.NewRegistry(serve.RegistryConfig{SweepInterval: -1})
 	if err := reg.UseStore(mustFSStore(t, dir)); err != nil {
@@ -364,7 +366,7 @@ func TestRegistryListSessionJobsPaging(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(stillClock(got.Jobs), stillClock(want[start:end])) {
+		if !reflect.DeepEqual(got.Jobs, want[start:end]) {
 			t.Fatalf("page %d (cursor %q): got %v, want %v", pages, cursor, jobIDs(got.Jobs), jobIDs(want[start:end]))
 		}
 		if got.NextCursor != wantNext {
@@ -381,6 +383,88 @@ func TestRegistryListSessionJobsPaging(t *testing.T) {
 	}
 }
 
+// TestRegistryConcurrentStartsPaging: two jobs started at once
+// on one session can register out of id order — the first start is
+// held in its record write until the second has registered. Paging the
+// session listing, and the registry-wide one, one job at a time must
+// still list each id once, in id order.
+func TestRegistryConcurrentStartsPaging(t *testing.T) {
+	st := &holdFirstPut{Store: serve.NewMemStore(), id: "j-1", reached: make(chan struct{}), release: make(chan struct{})}
+	reg := testRegistry(t, serve.RegistryConfig{})
+	if err := reg.UseStore(st); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := reg.AddDataset(smallDatasetRequest(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := reg.CreateSession(serve.SessionRequest{DatasetID: ds.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := func(seed uint64) serve.JobRequest {
+		c := testGAConfig(seed)
+		c.MaxGenerations = 2
+		return serve.JobRequest{Config: c}
+	}
+	first := make(chan error, 1)
+	go func() {
+		_, err := reg.StartJob(sess.ID, req(1))
+		first <- err
+	}()
+	<-st.reached // j-1 is taken and its record write held
+	second, err := reg.StartJob(sess.ID, req(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.ID != "j-2" {
+		t.Fatalf("second job id %s, want j-2", second.ID)
+	}
+	close(st.release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+
+	for _, sessionID := range []string{sess.ID, ""} {
+		var got []string
+		cursor := ""
+		for range 3 {
+			list, err := reg.ListJobs(sessionID, cursor, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, jobIDs(list.Jobs)...)
+			if cursor = list.NextCursor; cursor == "" {
+				break
+			}
+		}
+		if want := []string{"j-1", "j-2"}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("listing %q one job a page: got %v, want %v", sessionID, got, want)
+		}
+	}
+	waitJobDone(t, reg, "j-1")
+	waitJobDone(t, reg, "j-2")
+}
+
+// holdFirstPut is a Store whose first write of job id's record waits
+// until release closes, after closing reached.
+type holdFirstPut struct {
+	serve.Store
+	id               string
+	reached, release chan struct{}
+	once             sync.Once
+}
+
+func (s *holdFirstPut) Put(kind serve.Kind, rec serve.Record) (serve.Record, error) {
+	if kind == serve.KindJob && rec.ID == s.id {
+		s.once.Do(func() {
+			close(s.reached)
+			<-s.release
+		})
+	}
+	return s.Store.Put(kind, rec)
+}
+
 // jobSeq parses the sequence number of a "j-N" job id.
 func jobSeq(t *testing.T, id string) int {
 	t.Helper()
@@ -391,26 +475,114 @@ func jobSeq(t *testing.T, id string) int {
 	return n
 }
 
-// stillClock zeroes the fields of a finished live job that move
-// between two reads: its Elapsed time since Start and its engine's
-// uptime.
-func stillClock(jobs []serve.JobInfo) []serve.JobInfo {
-	out := slices.Clone(jobs)
-	for i := range out {
-		out[i].Report.Elapsed = 0
-		if e := out[i].Report.Engine; e != nil {
-			still := *e
-			still.Uptime = 0
-			out[i].Report.Engine = &still
-		}
-	}
-	return out
-}
-
 func jobIDs(jobs []serve.JobInfo) []string {
 	ids := make([]string, len(jobs))
 	for i, ji := range jobs {
 		ids[i] = ji.ID
 	}
 	return ids
+}
+
+// TestRegistryFinishedJobIsFrozenAcrossRestart: a finished job's status is fixed
+// when its run ends. After a GA job and a race have finished and a
+// third job has moved the shared backend's counters, GET, DELETE, a
+// session page, a registry-wide page and a late subscriber's done
+// frame all return the document read when each job finished, and so
+// does a registry restored from the same store.
+func TestRegistryFinishedJobIsFrozenAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	client, reg := newTestServer(t, serve.RegistryConfig{}, serve.WithStore(mustFSStore(t, dir)))
+	ctx := context.Background()
+	ds, err := reg.AddDataset(smallDatasetRequest(t, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := reg.CreateSession(serve.SessionRequest{DatasetID: ds.ID, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]serve.JobInfo{}
+	for _, req := range []serve.JobRequest{
+		{Config: testGAConfig(1)},
+		{Config: testGAConfig(2), Race: &repro.RaceSpec{Lanes: []repro.RaceLaneSpec{{Optimizer: "stpga"}}, SubsetSize: 2}},
+	} {
+		ji, err := reg.StartJob(sess.ID, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[ji.ID] = waitJobDone(t, reg, ji.ID); want[ji.ID].State != serve.JobDone {
+			t.Fatalf("job %s ended %s, want done", ji.ID, want[ji.ID].State)
+		}
+	}
+	more, err := reg.StartJob(sess.ID, serve.JobRequest{Config: testGAConfig(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJobDone(t, reg, more.ID)
+
+	sessPage, err := reg.ListJobs(sess.ID, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allPage, err := reg.ListJobs("", "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, w := range want {
+		reads := map[string]serve.JobInfo{
+			"session page":       findJob(t, sessPage.Jobs, id),
+			"registry-wide page": findJob(t, allPage.Jobs, id),
+		}
+		if reads["GET"], err = reg.Job(id); err != nil {
+			t.Fatal(err)
+		}
+		if reads["DELETE"], err = reg.StopJob(id); err != nil {
+			t.Fatal(err)
+		}
+		done, err := client.StreamEvents(ctx, id, nil)
+		if err != nil || done == nil {
+			t.Fatalf("late subscriber to %s: done %v, err %v", id, done, err)
+		}
+		reads["done frame"] = *done
+		for what, got := range reads {
+			sameJobInfo(t, id+" "+what, got, w)
+		}
+	}
+
+	reg.Close()
+	restored := testRegistry(t, serve.RegistryConfig{})
+	if err := restored.UseStore(mustFSStore(t, dir)); err != nil {
+		t.Fatal(err)
+	}
+	for id, w := range want {
+		got, err := restored.Job(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameJobInfo(t, id+" after restart", got, w)
+	}
+}
+
+// findJob returns the listed job with the given id.
+func findJob(t *testing.T, jobs []serve.JobInfo, id string) serve.JobInfo {
+	t.Helper()
+	for _, ji := range jobs {
+		if ji.ID == id {
+			return ji
+		}
+	}
+	t.Fatalf("job %s not listed in %v", id, jobIDs(jobs))
+	return serve.JobInfo{}
+}
+
+// sameJobInfo fails the test unless got and want are the same
+// document, showing both as JSON when they differ.
+func sameJobInfo(t *testing.T, what string, got, want serve.JobInfo) {
+	t.Helper()
+	if reflect.DeepEqual(got, want) {
+		return
+	}
+	g, _ := json.Marshal(got)
+	w, _ := json.Marshal(want)
+	t.Errorf("%s differs from the job's final status:\ngot  %s\nwant %s", what, g, w)
 }

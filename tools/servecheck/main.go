@@ -7,15 +7,18 @@
 //     through the typed Go client (SSE stream included),
 //  3. stop the server with SIGTERM (graceful drain),
 //  4. boot a brand-new ldserve process on the same -data-dir,
-//  5. fetch GET /v1/jobs/{id} and verify the persisted GAResult is
-//     JSON-identical to the one observed before the restart — and
-//     that auth survived too (a keyless request still gets 401).
+//  5. fetch GET /v1/jobs/{id} and verify the restored status document
+//     is JSON-identical to the done event observed before the restart
+//     (state, report and result alike: a finished job's status is
+//     fixed when its run ends) — and that auth survived too (a
+//     keyless request still gets 401).
 //
 // CI builds ldserve and runs
 //
 //	go run ./tools/servecheck -ldserve bin/ldserve
 //
-// Any failure exits nonzero with a diagnostic.
+// Any failure stops the server, removes the temp data dir and exits
+// nonzero with a diagnostic.
 package main
 
 import (
@@ -37,6 +40,16 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "servecheck: FAIL: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run performs the check. Its deferred cleanup stops whichever server
+// is still running and removes the temp data dir on every return, so a
+// failure leaves no ldserve process holding the caller's stderr open.
+func run() (err error) {
 	var (
 		bin     = flag.String("ldserve", "bin/ldserve", "path to the ldserve binary")
 		dataDir = flag.String("data-dir", "", "data directory (default: a fresh temp dir)")
@@ -47,29 +60,41 @@ func main() {
 	if *dataDir == "" {
 		dir, err := os.MkdirTemp("", "servecheck-*")
 		if err != nil {
-			fatalf("temp dir: %v", err)
+			return fmt.Errorf("temp dir: %v", err)
 		}
 		defer os.RemoveAll(dir)
 		*dataDir = dir
 	}
-	addr := freeAddr()
+	addr, err := freeAddr()
+	if err != nil {
+		return err
+	}
 	base := "http://" + addr
 	ctx := context.Background()
 	client := serve.NewClient(base, nil, serve.WithAPIKey(*apiKey))
 
+	var proc *exec.Cmd // the server running now, if any
+	defer func() {
+		if stopErr := stopServer(proc); err == nil {
+			err = stopErr
+		}
+	}()
+
 	// Life 1: upload → session → job → done.
-	proc := startServer(*bin, addr, *dataDir, *apiKey)
+	if proc, err = startServer(*bin, addr, *dataDir, *apiKey); err != nil {
+		return err
+	}
 	ds, err := client.CreateDataset(ctx, serve.DatasetRequest{Format: serve.FormatPreset, Preset: 51, Seed: 1})
 	if err != nil {
-		fatalf("upload: %v", err)
+		return fmt.Errorf("upload: %v", err)
 	}
 	sess, err := client.CreateSession(ctx, serve.SessionRequest{DatasetID: ds.ID})
 	if err != nil {
-		fatalf("session: %v", err)
+		return fmt.Errorf("session: %v", err)
 	}
 	job, err := client.StartJob(ctx, sess.ID, serve.JobRequest{Config: smallConfig()})
 	if err != nil {
-		fatalf("job: %v", err)
+		return fmt.Errorf("job: %v", err)
 	}
 	generations := 0
 	final, err := client.StreamEvents(ctx, job.ID, func(ev serve.Event) error {
@@ -79,54 +104,59 @@ func main() {
 		return nil
 	})
 	if err != nil {
-		fatalf("stream: %v", err)
+		return fmt.Errorf("stream: %v", err)
 	}
 	if final == nil || final.State != serve.JobDone || final.Result == nil {
-		fatalf("job did not finish: %+v", final)
+		return fmt.Errorf("job did not finish: %+v", final)
 	}
-	before, err := json.Marshal(final.Result)
+	before, err := json.Marshal(final)
 	if err != nil {
-		fatalf("marshal: %v", err)
+		return fmt.Errorf("marshal: %v", err)
 	}
-	fmt.Printf("servecheck: job %s done after %d generations (%d streamed), result %d bytes\n",
+	fmt.Printf("servecheck: job %s done after %d generations (%d streamed), done document %d bytes\n",
 		job.ID, final.Result.Generations, generations, len(before))
-	stopServer(proc)
+	err, proc = stopServer(proc), nil
+	if err != nil {
+		return err
+	}
 
 	// Life 2: the same data dir, a brand-new process.
-	proc = startServer(*bin, addr, *dataDir, *apiKey)
-	defer stopServer(proc)
+	if proc, err = startServer(*bin, addr, *dataDir, *apiKey); err != nil {
+		return err
+	}
 
 	// Auth survived the restart: a keyless request is rejected.
 	if _, err := serve.NewClient(base, nil).Job(ctx, job.ID); !errors.Is(err, serve.ErrUnauthorized) {
-		fatalf("keyless request after restart: err = %v, want unauthorized", err)
+		return fmt.Errorf("keyless request after restart: err = %v, want unauthorized", err)
 	}
 	ji, err := client.Job(ctx, job.ID)
 	if err != nil {
-		fatalf("restored job fetch: %v", err)
+		return fmt.Errorf("restored job fetch: %v", err)
 	}
 	if ji.State != serve.JobDone || ji.Result == nil {
-		fatalf("restored job = %+v, want done with result", ji)
+		return fmt.Errorf("restored job = %+v, want done with result", ji)
 	}
-	after, err := json.Marshal(ji.Result)
+	after, err := json.Marshal(ji)
 	if err != nil {
-		fatalf("marshal: %v", err)
+		return fmt.Errorf("marshal: %v", err)
 	}
 	if !bytes.Equal(before, after) {
-		fatalf("result changed across restart:\nbefore %s\nafter  %s", before, after)
+		return fmt.Errorf("job document changed across restart:\ndone   %s\nstored %s", before, after)
 	}
 	// The restored session is live: listings agree and new work runs.
 	jl, err := client.Jobs(ctx, serve.JobsQuery{SessionID: sess.ID})
 	if err != nil || len(jl.Jobs) != 1 || jl.Jobs[0].ID != job.ID {
-		fatalf("restored listing = %+v, %v", jl, err)
+		return fmt.Errorf("restored listing = %+v, %v", jl, err)
 	}
 	job2, err := client.StartJob(ctx, sess.ID, serve.JobRequest{Config: smallConfig()})
 	if err != nil {
-		fatalf("job on restored session: %v", err)
+		return fmt.Errorf("job on restored session: %v", err)
 	}
 	if _, err := client.StreamEvents(ctx, job2.ID, nil); err != nil {
-		fatalf("second job stream: %v", err)
+		return fmt.Errorf("second job stream: %v", err)
 	}
-	fmt.Println("servecheck: restart round-trip OK — persisted result is JSON-identical, auth enforced, session live")
+	fmt.Println("servecheck: restart round-trip OK — restored job document is JSON-identical to done, auth enforced, session live")
+	return nil
 }
 
 // smallConfig is a GA configuration that finishes in well under a
@@ -139,27 +169,22 @@ func smallConfig() repro.GAConfig {
 	}
 }
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "servecheck: FAIL: "+format+"\n", args...)
-	os.Exit(1)
-}
-
 // freeAddr reserves a loopback port for the server.
-func freeAddr() string {
+func freeAddr() (string, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		fatalf("reserve port: %v", err)
+		return "", fmt.Errorf("reserve port: %v", err)
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	return addr
+	return addr, nil
 }
 
-// startServer boots ldserve and waits for /healthz.
-func startServer(bin, addr, dataDir, apiKey string) *exec.Cmd {
+// startServer boots ldserve and waits for it to accept connections.
+func startServer(bin, addr, dataDir, apiKey string) (*exec.Cmd, error) {
 	abs, err := filepath.Abs(bin)
 	if err != nil {
-		fatalf("%v", err)
+		return nil, err
 	}
 	cmd := exec.Command(abs,
 		"-addr", addr,
@@ -171,35 +196,37 @@ func startServer(bin, addr, dataDir, apiKey string) *exec.Cmd {
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
-		fatalf("start %s: %v", bin, err)
+		return nil, fmt.Errorf("start %s: %v", bin, err)
 	}
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
 		conn, err := net.DialTimeout("tcp", addr, 200*time.Millisecond)
 		if err == nil {
 			conn.Close()
-			return cmd
+			return cmd, nil
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 	cmd.Process.Kill()
-	fatalf("server on %s never came up", addr)
-	return nil
+	cmd.Wait()
+	return nil, fmt.Errorf("server on %s never came up", addr)
 }
 
-// stopServer sends SIGTERM (the graceful drain path) and waits.
-func stopServer(cmd *exec.Cmd) {
-	if cmd == nil || cmd.Process == nil {
-		return
+// stopServer sends SIGTERM (the graceful drain path) and waits,
+// killing the server if it ignores the signal. A nil cmd is a no-op.
+func stopServer(cmd *exec.Cmd) error {
+	if cmd == nil {
+		return nil
 	}
 	cmd.Process.Signal(syscall.SIGTERM)
 	done := make(chan error, 1)
 	go func() { done <- cmd.Wait() }()
 	select {
 	case <-done:
+		return nil
 	case <-time.After(30 * time.Second):
 		cmd.Process.Kill()
 		<-done
-		fatalf("server ignored SIGTERM for 30s")
+		return errors.New("server ignored SIGTERM for 30s")
 	}
 }
