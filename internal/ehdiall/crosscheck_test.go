@@ -1,17 +1,21 @@
-package ehdiall
+package ehdiall_test
 
 import (
 	"math"
 	"testing"
 
+	"repro/internal/ehdiall"
 	"repro/internal/genotype"
 	"repro/internal/ld"
 	"repro/internal/rng"
 )
 
-// The two-locus EM in package ld and the general K-locus EM here are
-// independent implementations of the same estimator; at K = 2 their
-// maximum-likelihood haplotype frequencies must agree.
+// Package ld tallies its own 3×3 genotype table and solves it with
+// ehdiall.TwoLocusFreqs, the solver this package's k = 2 calls run on
+// the table of their pattern groups. The test holds ld's tallying and
+// haplotype indexing to the estimator's: at K = 2 both must give the
+// same disequilibrium. It is an external test because ld imports
+// ehdiall.
 func TestTwoLocusEMAgreesWithLDPackage(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		r := rng.New(seed)
@@ -32,7 +36,7 @@ func TestTwoLocusEMAgreesWithLDPackage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := EstimateDataset(d, rows, []int{0, 1}, Config{})
+		res, err := ehdiall.EstimateDataset(d, rows, []int{0, 1}, ehdiall.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

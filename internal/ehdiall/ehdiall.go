@@ -17,6 +17,14 @@
 // without (hypothesis H0, products of single-site allele frequencies),
 // exactly as EH-DIALL reports them.
 //
+// A call over two SNPs (k = 2) needs no iteration: the double
+// heterozygote is the only genotype of ambiguous phase, so the
+// likelihood has one free parameter, and its maximum is a root of the
+// EM's fixed-point cubic or an end of the admissible interval (Hill
+// 1974). Both front-ends reduce such a call to its integer 3×3 genotype
+// table and solve it exactly (twolocus.go); the EM below serves k = 1
+// and k >= 3.
+//
 // A pattern with h heterozygous sites expands into 2^(h-1) unordered
 // haplotype pairs (one pair when h = 0), and the haplotype table is
 // 2^k, which is the genuine source of the paper's Figure 4: evaluation
@@ -44,6 +52,7 @@ import (
 const MaxSNPs = 20
 
 // Config tunes the EM iteration. The zero value selects defaults.
+// Neither field applies to a k = 2 call, which is solved exactly.
 type Config struct {
 	// Tol is the convergence threshold on the L1 change of the
 	// frequency vector over one plain EM step (default 1e-9).
@@ -82,19 +91,23 @@ type Result struct {
 	NullLogLik float64
 	// Iterations is the number of E-steps performed, those inside
 	// extrapolation cycles included; Converged reports whether a plain
-	// EM step met the tolerance within MaxIter E-steps.
+	// EM step met the tolerance within MaxIter E-steps. A k = 2 call
+	// is solved exactly, with Iterations 0 and Converged true.
 	Iterations int
 	Converged  bool
 }
 
 // LRT returns the likelihood-ratio test statistic 2(LL1 - LL0). It is
-// non-negative because the EM starts from the H0 frequencies and its
-// likelihood never falls: plain EM steps ascend, and the monotone
-// guard rejects any extrapolation below the plain steps it replaces.
+// non-negative: the EM starts from the H0 frequencies and its
+// likelihood never falls (plain EM steps ascend, and the monotone
+// guard rejects any extrapolation below the plain steps it replaces),
+// and a k = 2 call's exact maximum is at least the likelihood at the
+// H0 point, which lies in the interval it maximizes over. Negative
+// rounding noise is reported as 0.
 func (r *Result) LRT() float64 {
 	v := 2 * (r.LogLik - r.NullLogLik)
 	if v < 0 {
-		return 0 // numerical guard; ascent guarantees v >= -epsilon
+		return 0 // numerical guard; v >= -epsilon
 	}
 	return v
 }
@@ -144,7 +157,9 @@ var ErrNoData = errors.New("ehdiall: no complete-case individuals")
 
 // Estimate runs the EM on the given complete genotype patterns, each
 // of length k with values 0, 1, 2 (no missing entries; use
-// genotype.Dataset.ColumnPatterns to obtain complete cases).
+// genotype.Dataset.ColumnPatterns to obtain complete cases). A k = 2
+// call tallies its groups into the 3×3 genotype table and solves it
+// exactly instead.
 func Estimate(patterns [][]genotype.Genotype, k int, cfg Config) (*Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("ehdiall: k = %d, need at least 1 SNP", k)
@@ -160,6 +175,10 @@ func Estimate(patterns [][]genotype.Genotype, k int, cfg Config) (*Result, error
 	}
 	if n == 0 {
 		return nil, ErrNoData
+	}
+	if k == 2 {
+		t := tableFromGroups(groups)
+		return estimateTwoLocus(&t, nil), nil
 	}
 
 	// H0 marginal allele-2 frequencies from the grouped patterns. The
@@ -184,39 +203,32 @@ func Estimate(patterns [][]genotype.Genotype, k int, cfg Config) (*Result, error
 	return estimateCore(groups, n, k, p2, cfg, nil), nil
 }
 
-// estimateCore is the single copy of the estimation arithmetic shared
-// by the byte path (Estimate) and the packed path (EstimatePacked):
-// H0 product frequencies, the compiled E-step plan, null
-// log-likelihood, the EM ascent (plain steps, then SQUAREM cycles) and
-// the H1 log-likelihood. Both front-ends produce identical groups in
+// estimateCore is the single copy of the EM arithmetic shared by the
+// byte path (Estimate) and the packed path (EstimatePacked): H0 product
+// frequencies, the compiled E-step plan, null log-likelihood, the EM
+// ascent (plain steps, then SQUAREM cycles) and the H1 log-likelihood.
+// It runs for every k; the front-ends hand k = 2 calls to the exact
+// two-locus solver instead. Both front-ends produce identical groups in
 // identical order and identical p2 marginals, so sharing this code is
 // what makes their Results bit-identical. With a nil scratch every
 // buffer (and the Result) is freshly allocated; with a scratch the
 // Result and its slices alias scratch storage and stay valid only
 // until the scratch's next use.
 func estimateCore(groups []patternGroup, n, k int, p2 []float64, cfg Config, scr *Scratch) *Result {
-	size := 1 << k
-	var res *Result
-	var nullFreqs, freqs, counts []float64
+	res := newResult(k, n, scr)
+	nullFreqs, freqs := res.NullFreqs, res.Freqs
+	var counts []float64
 	plan, sq := &estepPlan{}, &squaremBufs{}
 	if scr != nil {
-		scr.res = Result{K: k, N: n}
-		res = &scr.res
-		scr.nullFreqs = growFloats(scr.nullFreqs, size)
-		scr.freqs = growFloats(scr.freqs, size)
-		scr.counts = growFloats(scr.counts, size)
-		nullFreqs, freqs, counts = scr.nullFreqs, scr.freqs, scr.counts
+		scr.counts = growFloats(scr.counts, len(freqs))
+		counts = scr.counts
 		plan, sq = &scr.plan, &scr.sq
 	} else {
-		res = &Result{K: k, N: n}
-		nullFreqs = make([]float64, size)
-		freqs = make([]float64, size)
-		counts = make([]float64, size)
+		counts = make([]float64, len(freqs))
 	}
 	plan.build(groups, k)
 
 	h0Freqs(p2, nullFreqs)
-	res.NullFreqs = nullFreqs
 	res.NullLogLik = plan.logLik(nullFreqs)
 
 	// EM from the H0 point: plain EM steps first, then, for a call
@@ -228,9 +240,22 @@ func estimateCore(groups []patternGroup, n, k int, p2 []float64, cfg Config, scr
 	if !res.Converged && res.Iterations < cfg.MaxIter {
 		res.Iterations, res.Converged = squarem(plan, n, freqs, counts, cfg, res.Iterations, sq)
 	}
-	res.Freqs = freqs
 	res.LogLik = plan.logLik(freqs)
 	return res
+}
+
+// newResult returns the Result of a k-site estimation over n
+// individuals with 2^k-entry Freqs and NullFreqs, in scr's storage when
+// scr is non-nil and freshly allocated otherwise.
+func newResult(k, n int, scr *Scratch) *Result {
+	size := 1 << k
+	if scr == nil {
+		return &Result{K: k, N: n, Freqs: make([]float64, size), NullFreqs: make([]float64, size)}
+	}
+	scr.freqs = growFloats(scr.freqs, size)
+	scr.nullFreqs = growFloats(scr.nullFreqs, size)
+	scr.res = Result{K: k, N: n, Freqs: scr.freqs, NullFreqs: scr.nullFreqs}
+	return &scr.res
 }
 
 // h0Freqs writes the H0 haplotype frequencies, products of the

@@ -6,7 +6,10 @@ package ehdiall
 // differs from the byte path — grouping order, group counts and the
 // marginal allele frequencies are constructed to be identical, and the
 // float arithmetic downstream is the shared estimateCore — so results
-// are bit-identical to Estimate over the same rows and sites.
+// are bit-identical to Estimate over the same rows and sites. A k = 2
+// call skips grouping: popcounts give its 3×3 genotype table, the same
+// integers the byte path tallies, and the shared two-locus solver runs
+// on it.
 
 import (
 	"fmt"
@@ -54,7 +57,8 @@ type Scratch struct {
 // count). It is the packed counterpart of EstimateDataset followed by
 // Estimate: complete-case rows — those not missing at any selected
 // site — are grouped by genotype pattern in ascending row order, and
-// the shared estimation core runs on the groups. scr may be nil (every
+// the shared estimation core runs on the groups (for k = 2, the
+// two-locus solver on their genotype table). scr may be nil (every
 // call then allocates); with a scratch the returned Result aliases
 // scratch storage and is valid only until the scratch's next use.
 func EstimatePacked(cols []genotype.PackedColumn, mask genotype.PlaneMask, cfg Config, scr *Scratch) (*Result, error) {
@@ -73,6 +77,13 @@ func EstimatePacked(cols []genotype.PackedColumn, mask genotype.PlaneMask, cfg C
 	cfg = cfg.withDefaults()
 	if scr == nil {
 		scr = &Scratch{}
+	}
+	if k == 2 {
+		t, n := countTable(cols[0], cols[1], mask)
+		if n == 0 {
+			return nil, ErrNoData
+		}
+		return estimateTwoLocus(&t, scr), nil
 	}
 
 	groups, n := groupPacked(cols, mask, scr)

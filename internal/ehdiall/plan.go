@@ -218,21 +218,43 @@ func (a *llAcc) add(p, count float64) {
 		a.sum += count * math.Log(p)
 		return
 	}
-	q := 1.0
-	for c := uint(count); ; {
-		if c&1 != 0 {
-			q *= p
-		}
-		if c >>= 1; c == 0 {
-			break
-		}
-		p *= p
+	if count != 1 {
+		p = powSmall(p, count)
 	}
+	a.mul(p)
+}
+
+// mul multiplies q, a power of a pattern probability of at least
+// 2^-512, into the running product, rescaling it back above llFloor.
+func (a *llAcc) mul(q float64) {
 	a.prod *= q
 	if a.prod < llFloor {
 		a.prod *= llScale
 		a.exp -= llShift
 	}
+}
+
+// powSmall returns p^count for a whole count of at most llMulMax: the
+// product of p^(2^i) over the set bits i of count, taken in ascending
+// order. An unset bit multiplies by 1, which is exact, so the selection
+// needs no data-dependent branch.
+func powSmall(p, count float64) float64 {
+	c := uint64(count)
+	q := p1(p, c)
+	p *= p
+	q *= p1(p, c>>1)
+	p *= p
+	q *= p1(p, c>>2)
+	p *= p
+	q *= p1(p, c>>3)
+	p *= p
+	return q * p1(p, c>>4)
+}
+
+// p1 is p when bit 0 of c is set and 1 otherwise, selected by bits.
+func p1(p float64, c uint64) float64 {
+	const one = 0x3ff0000000000000 // math.Float64bits(1)
+	return math.Float64frombits(one ^ (one^math.Float64bits(p))&-(c&1))
 }
 
 // value returns the accumulated log-likelihood.

@@ -1,8 +1,10 @@
 // Package ld computes pairwise linkage disequilibrium between
-// biallelic SNPs from unphased genotype data, using the classic
-// two-locus EM of Hill (1974): only double heterozygotes are phase
-// ambiguous, and their cis/trans split is iterated to the maximum
-// likelihood haplotype frequencies.
+// biallelic SNPs from unphased genotype data, with the maximum
+// likelihood haplotype frequencies of Hill (1974): only double
+// heterozygotes are phase ambiguous, and their cis/trans split is
+// solved exactly, as the likelihood maximum over the roots of the EM's
+// fixed-point cubic and the ends of the admissible range, by
+// ehdiall.TwoLocusFreqs, the estimator the GA's k = 2 calls use.
 //
 // It also implements the paper's §2.3 feasibility conditions on pairs
 // of SNPs inside a candidate haplotype: their pairwise disequilibrium
@@ -15,6 +17,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/ehdiall"
 	"repro/internal/genotype"
 )
 
@@ -32,16 +35,11 @@ type Pair struct {
 	N int
 }
 
-const (
-	emTol     = 1e-10
-	emMaxIter = 1000
-)
-
 // Estimate computes the disequilibrium between SNP columns i and j of
 // the dataset. Individuals missing either genotype are excluded. An
 // error is returned when fewer than two complete individuals exist.
 func Estimate(d *genotype.Dataset, i, j int) (Pair, error) {
-	var counts [3][3]float64
+	var counts [3][3]int
 	n := 0
 	for k := range d.Individuals {
 		gi := d.Individuals[k].Genotypes[i]
@@ -55,50 +53,12 @@ func Estimate(d *genotype.Dataset, i, j int) (Pair, error) {
 	if n < 2 {
 		return Pair{}, fmt.Errorf("ld: fewer than 2 individuals typed at SNPs %d and %d", i, j)
 	}
-	total := 2 * float64(n)
 
-	// Haplotype counts that are phase-determined. Index: allele at
-	// locus i (0/1) then allele at locus j.
-	var h [2][2]float64
-	h[0][0] = 2*counts[0][0] + counts[0][1] + counts[1][0]
-	h[0][1] = 2*counts[0][2] + counts[0][1] + counts[1][2]
-	h[1][0] = 2*counts[2][0] + counts[1][0] + counts[2][1]
-	h[1][1] = 2*counts[2][2] + counts[1][2] + counts[2][1]
-	dh := counts[1][1] // double heterozygotes: cis/trans ambiguous
-
-	// EM over the cis fraction of double heterozygotes.
-	f := [2][2]float64{
-		{(h[0][0] + dh/2) / total, (h[0][1] + dh/2) / total},
-		{(h[1][0] + dh/2) / total, (h[1][1] + dh/2) / total},
-	}
-	if dh > 0 {
-		for iter := 0; iter < emMaxIter; iter++ {
-			cisW := f[0][0] * f[1][1]
-			transW := f[0][1] * f[1][0]
-			pCis := 0.5
-			if cisW+transW > 0 {
-				pCis = cisW / (cisW + transW)
-			}
-			nf := [2][2]float64{
-				{(h[0][0] + dh*pCis) / total, (h[0][1] + dh*(1-pCis)) / total},
-				{(h[1][0] + dh*(1-pCis)) / total, (h[1][1] + dh*pCis) / total},
-			}
-			delta := 0.0
-			for a := 0; a < 2; a++ {
-				for b := 0; b < 2; b++ {
-					delta += math.Abs(nf[a][b] - f[a][b])
-				}
-			}
-			f = nf
-			if delta < emTol {
-				break
-			}
-		}
-	}
-
-	pA := f[1][0] + f[1][1] // allele "2" frequency at locus i
-	pB := f[0][1] + f[1][1] // allele "2" frequency at locus j
-	dis := f[1][1] - pA*pB
+	// f[h] has bit 0 set for allele 2 at locus i, bit 1 at locus j.
+	f := ehdiall.TwoLocusFreqs(&counts)
+	pA := f[0b01] + f[0b11] // allele "2" frequency at locus i
+	pB := f[0b10] + f[0b11] // allele "2" frequency at locus j
+	dis := f[0b11] - pA*pB
 
 	p := Pair{D: dis, N: n}
 	denom := pA * (1 - pA) * pB * (1 - pB)
