@@ -24,16 +24,36 @@
 // # Run queue
 //
 // The novel sets of a batch (its leader misses) go on the engine's run
-// queue as one job, and the batch parks until the job is done or its
+// queue as one job. The caller keys the batch keyChunk items at a
+// time; it queues the job at the first chunk with a leader and extends
+// it with each later chunk's leaders, so the workers start on a large
+// batch while the caller is still keying the rest. It stays one job
+// per batch: once keyed, the batch parks until the job is done or its
 // context is cancelled. Workers claim one item at a time under one
 // short mutex, round-robin across every queued job, so concurrent
 // batches interleave item by item and a large batch cannot starve a
-// small one. The worker that computes an item publishes it itself:
-// the cache entry, the flight's outcome, the flight's removal from the
-// in-flight table, and the wake-up of the batches following that key.
-// A cancelled batch withdraws its unclaimed items, which resolve with
-// the context's error; a claimed item checks the context before it is
-// evaluated, and evaluations already running finish.
+// small one; a job whose queued items are all claimed leaves the queue
+// until its batch extends it again. The worker that computes an item
+// publishes it itself: the flight's outcome, the cache entry and the
+// flight's removal from the in-flight table (one critical section on
+// the key's cache shard), and the wake-up of the batches following
+// that key. A flight's wake-up signal is a channel made by its first
+// follower, so a flight nobody follows costs none. A cancelled batch
+// stops keying at the next chunk (the items not yet keyed report the
+// context's error) and withdraws its unclaimed items, which resolve
+// with the context's error; a claimed item checks the context before
+// it is evaluated, and evaluations already running finish.
+//
+// # Key arena
+//
+// The batch path allocates per batch, not per candidate. Every
+// distinct key is written once into one byte arena; duplicates are
+// found by an open-addressing table over the arena; cache lookups read
+// the arena bytes without converting them. Only the keys that missed
+// the cache are copied, into one string per chunk that the in-flight
+// entry and the cached value share, so a cache entry pins no hit's
+// bytes. Cache hits are answered by the caller, never handed to a
+// worker.
 //
 // # Cache-key canonicalization
 //

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -42,36 +43,71 @@ type KeyFingerprinter interface {
 	KeyFingerprint(sites []int) uint64
 }
 
-type slot struct {
-	value float64
-	err   error
-}
-
 // flight is one in-flight computation of a canonical key, shared by
 // every concurrent batch that misses on it (singleflight). The worker
-// that computes the key closes done after filling value/err; followers
-// only read afterwards.
+// that computes the key fills value/err, caches the value and removes
+// the flight from the in-flight table under the key's cache shard
+// lock, and then closes done. done exists only once a follower joins:
+// the first follower makes it under that lock, so a flight nobody
+// follows costs no channel. Followers read value and err only after
+// done is closed.
 type flight struct {
-	done  chan struct{}
+	done  chan struct{} // guarded by the key's cache shard lock while the flight is in the table
 	value float64
 	err   error
 }
 
-// runJob is one batch's leader misses on the engine's run queue. The
-// batch owns the tables; a worker that claims item i computes
-// sites[items[i]] and publishes it itself (slot, cache entry, flight),
-// and the last item to resolve closes done.
-type runJob struct {
-	ctx     context.Context
-	items   []int
-	sites   [][]int
-	keys    []string
-	flights []*flight
-	slots   []slot
+// unit is one distinct site set of a batch: what the caller keys and
+// resolves and, when the batch leads the set, what the worker that
+// computes it reads and publishes. A batch's units share one
+// allocation.
+type unit struct {
+	sites      []int
+	hash       uint64 // keyHash of the key
+	koff, kend int32  // the key's bytes in the batch's arena
+	how        uint8
+	// key is the cache and in-flight key, set once the set missed the
+	// cache: a substring of one string holding only the keys of the
+	// batch's misses, so a cache entry pins no hit's bytes.
+	key string
+	// flight holds the set's outcome. While the batch leads the set,
+	// it is also the key's flight, shared by followers in other
+	// batches.
+	flight flight
+}
 
-	next    int // first unclaimed item; guarded by Engine.qmu
+// How a unit was resolved, for the engine's hit and coalesced tallies.
+const (
+	howComputed = iota
+	howCached
+	howCoalesced
+)
+
+// runJob is one batch's leader misses on the engine's run queue. The
+// caller queues it at its first leader and extends it chunk by chunk
+// while it keys the rest of the batch; a worker that claims an item
+// computes units[item] and publishes it itself (outcome, cache entry,
+// followers' wake-up). pending counts the unresolved items plus one
+// hold the caller keeps until it has queued its last chunk, so done
+// closes only once every item is resolved and no more can arrive.
+type runJob struct {
+	ctx   context.Context
+	units []unit
+
+	items  []int32 // queued unit indices; guarded by Engine.qmu
+	next   int     // first unclaimed item; guarded by Engine.qmu
+	queued bool    // on the run queue; guarded by Engine.qmu
+
 	pending atomic.Int64
 	done    chan struct{}
+}
+
+// resolve counts one item (or the caller's hold) resolved and closes
+// done on the last.
+func (j *runJob) resolve() {
+	if j.pending.Add(-1) == 0 {
+		close(j.done)
+	}
 }
 
 // Engine is the native concurrent evaluator: a worker pool over an
@@ -95,11 +131,6 @@ type Engine struct {
 	// only; tests use it to observe the join deterministically.
 	joins     atomic.Int64
 	perWorker []atomic.Int64
-
-	// flightMu guards inflight, the singleflight table of cache keys
-	// currently being computed by some batch.
-	flightMu sync.Mutex
-	inflight map[string]*flight
 
 	// qmu guards the run queue: the jobs with unclaimed items, in
 	// arrival order, and rr, the index of the job the next claim is
@@ -139,7 +170,6 @@ func New(inner fitness.Evaluator, opts Options) (*Engine, error) {
 		fingerprint: opts.Fingerprint,
 		start:       time.Now(),
 		perWorker:   make([]atomic.Int64, opts.Workers),
-		inflight:    make(map[string]*flight),
 	}
 	if kf, ok := inner.(KeyFingerprinter); ok {
 		e.keyFP = kf.KeyFingerprint
@@ -180,7 +210,7 @@ func (e *Engine) worker(id int) {
 		eval = func(sites []int) (float64, error) { return se.EvaluateScratch(sites, scr) }
 	}
 	for {
-		j, i, ok := e.claim()
+		j, u, ok := e.claim()
 		if !ok {
 			return
 		}
@@ -189,28 +219,43 @@ func (e *Engine) worker(id int) {
 		err := j.ctx.Err()
 		var v float64
 		if err == nil {
-			v, err = eval(j.sites[j.items[i]])
+			v, err = eval(j.units[u].sites)
 			e.perWorker[id].Add(1)
 		}
-		e.publish(j, i, v, err)
+		e.publish(j, u, v, err)
 	}
 }
 
-// enqueue puts a batch's job on the run queue and wakes as many idle
-// workers as it has items.
-func (e *Engine) enqueue(j *runJob) {
+// extend adds leaders to j and puts j on the run queue if it is not
+// there, waking as many idle workers as it added items. On a closed
+// engine the leaders resolve with ErrClosed instead. The caller holds
+// e.mu for reading.
+func (e *Engine) extend(j *runJob, leaders []int32) {
+	j.pending.Add(int64(len(leaders)))
+	if e.closed {
+		for _, u := range leaders {
+			e.publish(j, u, 0, ErrClosed)
+		}
+		return
+	}
 	e.qmu.Lock()
-	e.queue = append(e.queue, j)
+	j.items = append(j.items, leaders...)
+	if !j.queued {
+		e.queue = append(e.queue, j)
+		j.queued = true
+	}
 	e.qmu.Unlock()
-	for n := min(len(j.items), e.workers); n > 0; n-- {
+	for n := min(len(leaders), e.workers); n > 0; n-- {
 		e.qcond.Signal()
 	}
 }
 
 // claim blocks until an item is queued and takes it, round-robin
 // across the queued jobs so concurrent batches interleave item by
-// item. It reports false once the engine is closed.
-func (e *Engine) claim() (*runJob, int, bool) {
+// item. A job whose items are all claimed leaves the queue until its
+// batch extends it again. claim reports false once the engine is
+// closed.
+func (e *Engine) claim() (*runJob, int32, bool) {
 	e.qmu.Lock()
 	defer e.qmu.Unlock()
 	for len(e.queue) == 0 {
@@ -223,34 +268,36 @@ func (e *Engine) claim() (*runJob, int, bool) {
 		e.rr = 0
 	}
 	j := e.queue[e.rr]
-	i := j.next
+	u := j.items[j.next]
 	j.next++
 	if j.next == len(j.items) {
 		e.dequeueLocked(e.rr) // rr now names the following job
+		j.queued = false
 	} else {
 		e.rr++
 	}
-	return j, i, true
+	return j, u, true
 }
 
-// withdraw takes j's unclaimed items off the queue (all of them, if j
-// was never queued) and resolves them with err; items a worker has
-// already claimed still publish themselves.
+// withdraw takes j's unclaimed items off the queue and resolves them
+// with err; items a worker has already claimed still publish
+// themselves. The caller extends j no further.
 func (e *Engine) withdraw(j *runJob, err error) {
 	e.qmu.Lock()
-	first := j.next
-	if first < len(j.items) {
+	rest := j.items[j.next:]
+	j.next = len(j.items)
+	if j.queued {
 		for q, qj := range e.queue {
 			if qj == j {
 				e.dequeueLocked(q)
 				break
 			}
 		}
-		j.next = len(j.items)
+		j.queued = false
 	}
 	e.qmu.Unlock()
-	for i := first; i < len(j.items); i++ {
-		e.publish(j, i, 0, err)
+	for _, u := range rest {
+		e.publish(j, u, 0, err)
 	}
 }
 
@@ -265,26 +312,16 @@ func (e *Engine) dequeueLocked(q int) {
 	}
 }
 
-// publish resolves item i of j: the slot, then the cache entry for a
-// value, the flight's outcome, its removal from the in-flight table —
-// cache before removal, so a batch that misses the flight finds the
-// value — and finally the followers' wake-up. The last item of the
-// job closes its done latch.
-func (e *Engine) publish(j *runJob, i int, v float64, err error) {
-	u := j.items[i]
-	j.slots[u] = slot{value: v, err: err}
-	if err == nil {
-		e.cache.set(j.keys[u], v)
+// publish resolves unit u of j: the flight's outcome, then the cache
+// entry for a value together with the flight's removal from the
+// in-flight table, and finally, if a follower joined, its wake-up. The
+// job's last item closes its done latch.
+func (e *Engine) publish(j *runJob, u int32, v float64, err error) {
+	it := &j.units[u]
+	if done := e.cache.publish(it.hash, it.key, &it.flight, v, err); done != nil {
+		close(done)
 	}
-	f := j.flights[u]
-	f.value, f.err = v, err
-	e.flightMu.Lock()
-	delete(e.inflight, j.keys[u])
-	e.flightMu.Unlock()
-	close(f.done)
-	if j.pending.Add(-1) == 0 {
-		close(j.done)
-	}
+	j.resolve()
 }
 
 // Workers returns the worker pool size.
@@ -306,17 +343,26 @@ func (e *Engine) EvaluateBatch(batch [][]int) ([]float64, []error) {
 	return e.EvaluateBatchContext(context.Background(), batch) //ldvet:allow ctxflow: fitness.BatchEvaluator compat seam; cancellable callers use EvaluateBatchContext
 }
 
+// keyChunk is how many batch items the caller keys before it queues
+// the leaders among them, so the workers start on a large batch while
+// the caller keys the rest.
+const keyChunk = 128
+
 // EvaluateBatchContext scores a whole generation in one pass:
 // duplicates are coalesced, memoized sets answered from the cache,
 // sets already being computed by a concurrent batch joined in flight
 // (singleflight), and only the genuinely novel sets go on the run
-// queue for the workers. Results are positional and the call returns
-// only when every item is resolved — the synchronous barrier the GA's
-// generational model expects.
+// queue for the workers. The caller keys the batch in chunks of
+// keyChunk items and queues each chunk's novel sets as it goes, so
+// the workers start on the first chunk while the caller keys the
+// rest. Results are positional and the call returns only when every
+// item is resolved — the synchronous barrier the GA's generational
+// model expects.
 //
-// Cancelling ctx stops the batch promptly: its unclaimed items are
-// withdrawn from the run queue, evaluations already running complete,
-// and every unstarted item reports ctx's error.
+// Cancelling ctx stops the batch promptly: keying stops at the next
+// chunk and the items not yet keyed report ctx's error, unclaimed
+// items are withdrawn from the run queue, evaluations already running
+// complete, and every unstarted item reports ctx's error.
 func (e *Engine) EvaluateBatchContext(ctx context.Context, batch [][]int) ([]float64, []error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -328,146 +374,239 @@ func (e *Engine) EvaluateBatchContext(ctx context.Context, batch [][]int) ([]flo
 	}
 	e.requests.Add(int64(len(batch)))
 
-	// Canonicalize, then coalesce identical sets.
-	canon := make([][]int, len(batch))
-	for i, sites := range batch {
-		canon[i] = fitness.CanonicalSites(sites)
-	}
-	unique, index := fitness.Dedupe(canon)
-
-	// Resolve every unique set: serve cache hits, join computations a
-	// concurrent batch already has in flight (singleflight), and fan
-	// the genuinely novel sets out to the workers. A follower whose
-	// leader was cancelled retries — another batch's cancellation must
-	// not fail this one — so resolution loops until every set has a
-	// terminal outcome (value, real error, or this batch's own
-	// cancellation). Each round makes progress: a retried set either
-	// hits the cache, resolves as a leader, or joins a strictly newer
-	// flight.
-	uslots := make([]slot, len(unique))
-	const (
-		howComputed = iota
-		howCached
-		howCoalesced
-	)
-	how := make([]byte, len(unique))
-	keys := make([]string, len(unique))
-	flights := make([]*flight, len(unique))
-	for u, sites := range unique {
-		fp := e.fingerprint
-		if e.keyFP != nil {
-			fp = e.keyFP(sites)
+	b := newBatchKeys(e, batch)
+	// Key the batch chunk by chunk: serve cache hits, join the
+	// computations a concurrent batch already has in flight, and queue
+	// the novel sets on this batch's job as soon as their chunk is
+	// keyed. Every flight this batch leads must be published on every
+	// path, or its followers would block forever.
+	var j *runJob
+	cut := len(batch) // items from cut on were never keyed
+	for lo := 0; lo < len(batch); lo += keyChunk {
+		if lo > 0 && ctx.Err() != nil {
+			cut = lo
+			break
 		}
-		keys[u] = cacheKey(fp, sites)
-	}
-	pending := make([]int, len(unique))
-	for u := range pending {
-		pending[u] = u
-	}
-	leaders := make([]int, 0, len(unique))
-	var followers []int
-	for len(pending) > 0 {
-		leaders, followers = leaders[:0], followers[:0]
-		fl := make([]flight, len(pending)) // this round's flights, one allocation
-		for n, u := range pending {
-			if v, ok := e.cache.get(keys[u]); ok {
-				uslots[u] = slot{value: v}
-				how[u] = howCached
-				continue
-			}
-			e.flightMu.Lock()
-			f, ok := e.inflight[keys[u]]
-			if !ok {
-				// A previous leader may have published (cache set,
-				// flight removed — in that order, the removal under
-				// this lock) between our cache miss above and this
-				// lookup; re-check before leading, or the set would
-				// be computed twice.
-				if v, cached := e.cache.get(keys[u]); cached {
-					e.flightMu.Unlock()
-					uslots[u] = slot{value: v}
-					how[u] = howCached
-					continue
-				}
-				f = &fl[n]
-				f.done = make(chan struct{})
-				e.inflight[keys[u]] = f
-			}
-			e.flightMu.Unlock()
-			flights[u] = f
-			if ok {
-				followers = append(followers, u)
-				e.joins.Add(1)
-			} else {
-				leaders = append(leaders, u)
-			}
-		}
-
-		// Queue the leader misses as one job; the workers compute and
-		// publish each item. Every flight this batch leads must be
-		// published on every path, or followers would block forever.
+		leaders := b.resolve(b.key(lo, min(lo+keyChunk, len(batch))))
 		if len(leaders) > 0 {
-			e.runLeaders(ctx, &runJob{
-				ctx: ctx, items: leaders, sites: unique,
-				keys: keys, flights: flights, slots: uslots,
-			})
-		}
-
-		// Collect the followed flights; each wakes as soon as its own
-		// key is published. A flight that ends with its leader's
-		// context error while this batch is still live goes back to
-		// pending and is recomputed next round.
-		pending = pending[:0]
-		for _, u := range followers {
-			f := flights[u]
-			select {
-			case <-f.done:
-				if f.err != nil && ctx.Err() == nil &&
-					(errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
-					pending = append(pending, u)
-					continue
-				}
-				uslots[u] = slot{value: f.value, err: f.err}
-				how[u] = howCoalesced
-			case <-ctx.Done():
-				uslots[u].err = ctx.Err()
+			if j == nil {
+				j = e.newJob(ctx, b.units)
 			}
+			e.extend(j, leaders)
 		}
 	}
+	e.finish(ctx, j)
 
-	for i, u := range index {
-		switch how[u] {
+	// Collect the followed flights; each wakes as soon as its own key
+	// is published. A flight that ends with its leader's context error
+	// while this batch is still live is led again: another batch's
+	// cancellation must not fail this one. Each round makes progress:
+	// a retried set either hits the cache, resolves as a leader, or
+	// joins a strictly newer flight.
+	for len(b.followers) > 0 {
+		retry := b.misses[:0] // keying is over: reuse its scratch
+		for _, fw := range b.followers {
+			it := &b.units[fw.u]
+			select {
+			case <-fw.f.done:
+				if fw.f.err != nil && ctx.Err() == nil &&
+					(errors.Is(fw.f.err, context.Canceled) || errors.Is(fw.f.err, context.DeadlineExceeded)) {
+					retry = append(retry, fw.u)
+					continue
+				}
+				it.flight.value, it.flight.err = fw.f.value, fw.f.err
+				it.how = howCoalesced
+			case <-ctx.Done():
+				it.flight.err = ctx.Err()
+			}
+		}
+		b.followers = b.followers[:0]
+		j = nil
+		if leaders := b.resolve(retry); len(leaders) > 0 {
+			j = e.newJob(ctx, b.units)
+			e.extend(j, leaders)
+		}
+		e.finish(ctx, j)
+	}
+
+	for i, u := range b.index[:cut] {
+		it := &b.units[u]
+		switch it.how {
 		case howCached:
 			e.hits.Add(1)
 		case howCoalesced:
 			e.coalesced.Add(1)
 		}
-		values[i], errs[i] = uslots[u].value, uslots[u].err
+		values[i], errs[i] = it.flight.value, it.flight.err
+	}
+	for i := cut; i < len(batch); i++ {
+		errs[i] = ctx.Err()
 	}
 	return values, errs
 }
 
-// runLeaders queues j and parks until every item is resolved. If ctx
-// is cancelled first, the unclaimed items are withdrawn and resolve
-// with ctx's error, and runLeaders waits only for the evaluations
-// already running. On a closed engine every item resolves with
-// ErrClosed.
-func (e *Engine) runLeaders(ctx context.Context, j *runJob) {
-	j.pending.Store(int64(len(j.items)))
-	j.done = make(chan struct{})
+// newJob starts a batch's job over its units. It holds e.mu for
+// reading until finish, which orders Close after the job.
+func (e *Engine) newJob(ctx context.Context, units []unit) *runJob {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		e.withdraw(j, ErrClosed)
+	j := &runJob{ctx: ctx, units: units, done: make(chan struct{})}
+	j.pending.Store(1) // the caller's hold, dropped by finish
+	return j
+}
+
+// finish drops the caller's hold on j (nil: the batch led nothing) and
+// parks until every item is resolved. If ctx is cancelled first, the
+// unclaimed items are withdrawn and resolve with ctx's error, and
+// finish waits only for the evaluations already running.
+func (e *Engine) finish(ctx context.Context, j *runJob) {
+	if j == nil {
 		return
 	}
-	e.enqueue(j)
+	defer e.mu.RUnlock()
+	j.resolve()
 	select {
 	case <-j.done:
 	case <-ctx.Done():
 		e.withdraw(j, ctx.Err())
 		<-j.done
 	}
+}
+
+// follower is a unit of the batch waiting on another batch's flight.
+// The flight's done channel is set before lead returns it and never
+// changes afterwards.
+type follower struct {
+	u int32
+	f *flight
+}
+
+// batchKeys is one batch's keying state. Every distinct key lives once
+// in one byte arena; duplicates are found by an open-addressing table
+// over the arena, so keying allocates nothing per item.
+type batchKeys struct {
+	e     *Engine
+	batch [][]int
+	units []unit  // distinct sets in first-seen order; the first nu are keyed
+	nu    int     // units keyed so far
+	index []int32 // batch item -> unit
+	arena []byte
+	probe []int32 // dedupe table: unit+1, 0 = empty; len is a power of two
+	miss  []byte  // scratch: the chunk's miss keys, back to back
+
+	misses    []int32 // scratch: the chunk's cache misses, then its leaders
+	followers []follower
+}
+
+func newBatchKeys(e *Engine, batch [][]int) *batchKeys {
+	n := len(batch)
+	size := 2
+	for size < 2*n {
+		size *= 2
+	}
+	return &batchKeys{
+		e:     e,
+		batch: batch,
+		units: make([]unit, n),
+		index: make([]int32, n),
+		arena: make([]byte, 0, n*(8+4*len(batch[0]))),
+		probe: make([]int32, size),
+	}
+}
+
+// key keys batch items [lo, hi): canonical sites, key bytes, dedupe,
+// and a cache lookup for every new distinct set. It returns the new
+// sets that missed the cache, whose keys it copies into one string.
+func (b *batchKeys) key(lo, hi int) []int32 {
+	e := b.e
+	misses := b.misses[:0]
+	for i := lo; i < hi; i++ {
+		sites := fitness.CanonicalSites(b.batch[i])
+		fp := e.fingerprint
+		if e.keyFP != nil {
+			fp = e.keyFP(sites)
+		}
+		off := len(b.arena)
+		b.arena = appendKey(b.arena, fp, sites)
+		k := b.arena[off:]
+		h := keyHash(k)
+		u, fresh := b.dedupe(h, k)
+		b.index[i] = u
+		if !fresh {
+			b.arena = b.arena[:off]
+			continue
+		}
+		it := &b.units[u]
+		it.sites, it.hash, it.koff, it.kend = sites, h, int32(off), int32(len(b.arena))
+		if v, ok := e.cache.get(h, k); ok {
+			it.flight.value, it.how = v, howCached
+			continue
+		}
+		misses = append(misses, u)
+	}
+	if len(misses) > 0 {
+		buf := b.miss[:0]
+		for _, u := range misses {
+			buf = append(buf, b.keyBytes(u)...)
+		}
+		all, off := string(buf), 0
+		for _, u := range misses {
+			it := &b.units[u]
+			n := int(it.kend - it.koff)
+			it.key, off = all[off:off+n], off+n
+		}
+		b.miss = buf
+	}
+	b.misses = misses
+	return misses
+}
+
+// keyBytes returns unit u's key in the arena.
+func (b *batchKeys) keyBytes(u int32) []byte {
+	it := &b.units[u]
+	return b.arena[it.koff:it.kend]
+}
+
+// dedupe finds the unit keyed k (hash h) or claims the next unit for
+// it, reporting whether it is new.
+func (b *batchKeys) dedupe(h uint64, k []byte) (int32, bool) {
+	mask := uint64(len(b.probe) - 1)
+	for p := h & mask; ; p = (p + 1) & mask {
+		s := b.probe[p]
+		if s == 0 {
+			u := int32(b.nu)
+			b.nu++
+			b.probe[p] = u + 1
+			return u, true
+		}
+		if b.units[s-1].hash == h && bytes.Equal(b.keyBytes(s-1), k) {
+			return s - 1, false
+		}
+	}
+}
+
+// resolve settles units that missed the cache, filtering them in
+// place down to the ones this batch leads. A unit whose key is in
+// flight follows that flight; one a leader published between the
+// cache miss and the in-flight lookup is a late hit; the rest become
+// this batch's flights.
+func (b *batchKeys) resolve(misses []int32) []int32 {
+	e := b.e
+	leaders := misses[:0]
+	for _, u := range misses {
+		it := &b.units[u]
+		it.flight = flight{}
+		f, v, hit := e.cache.lead(it.hash, it.key, &it.flight)
+		switch {
+		case f != nil:
+			b.followers = append(b.followers, follower{u: u, f: f})
+			e.joins.Add(1)
+		case hit:
+			it.flight.value, it.how = v, howCached
+		default:
+			leaders = append(leaders, u)
+		}
+	}
+	return leaders
 }
 
 // Report returns the engine's cumulative counters.

@@ -102,7 +102,7 @@ func TestCanonicalization(t *testing.T) {
 	if got := inner.calls.Load(); got != 1 {
 		t.Fatalf("computed %d times, want 1 (shared canonical key)", got)
 	}
-	if k1, k2 := cacheKey(7, []int{1, 4, 9}), cacheKey(8, []int{1, 4, 9}); k1 == k2 {
+	if k1, k2 := appendKey(nil, 7, []int{1, 4, 9}), appendKey(nil, 8, []int{1, 4, 9}); string(k1) == string(k2) {
 		t.Fatal("different dataset fingerprints produced the same cache key")
 	}
 }
@@ -562,5 +562,154 @@ func TestEnginePipelineParityAllStatistics(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// keyGatedFP is an inner evaluator whose KeyFingerprint blocks on gate
+// for the set starting at gateSite, so a test can hold the caller
+// mid-batch while it keys.
+type keyGatedFP struct {
+	gateSite int
+	gate     chan struct{}
+	keying   chan struct{} // closed when the gated set starts keying
+	once     sync.Once
+	opened   sync.Once
+	calls    atomic.Int64
+}
+
+// open releases the gate (idempotent).
+func (k *keyGatedFP) open() { k.opened.Do(func() { close(k.gate) }) }
+
+func (k *keyGatedFP) KeyFingerprint(sites []int) uint64 {
+	if sites[0] == k.gateSite {
+		k.once.Do(func() { close(k.keying) })
+		<-k.gate
+	}
+	return 1
+}
+
+func (k *keyGatedFP) Evaluate(sites []int) (float64, error) {
+	k.calls.Add(1)
+	return float64(sites[0] + sites[1]), nil
+}
+
+// incrementalBatch is three chunks of distinct pairs; keying blocks at
+// the first set of the second chunk.
+func incrementalBatch(t *testing.T) (*Engine, *keyGatedFP, [][]int) {
+	t.Helper()
+	inner := &keyGatedFP{gateSite: keyChunk, gate: make(chan struct{}), keying: make(chan struct{})}
+	e, err := New(inner, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	t.Cleanup(inner.open) // runs first: a failing test must not leave Close waiting
+	batch := make([][]int, 3*keyChunk)
+	for i := range batch {
+		batch[i] = []int{i, i + 10000}
+	}
+	return e, inner, batch
+}
+
+// TestIncrementalJobStartsBeforeKeyingEnds: the caller queues a
+// batch's job at its first chunk, so the workers compute that chunk
+// while the caller is still keying the next one.
+func TestIncrementalJobStartsBeforeKeyingEnds(t *testing.T) {
+	e, inner, batch := incrementalBatch(t)
+	type outcome struct {
+		values []float64
+		errs   []error
+	}
+	res := make(chan outcome, 1)
+	go func() {
+		v, errs := e.EvaluateBatch(batch)
+		res <- outcome{v, errs}
+	}()
+	<-inner.keying
+	deadline := time.Now().Add(5 * time.Second)
+	for inner.calls.Load() < keyChunk {
+		if time.Now().After(deadline) {
+			t.Fatalf("workers computed %d of the first chunk's %d sets while keying was held", inner.calls.Load(), keyChunk)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	inner.open()
+	oc := <-res
+	for i, err := range oc.errs {
+		if err != nil || oc.values[i] != float64(batch[i][0]+batch[i][1]) {
+			t.Fatalf("item %d: %v, %v", i, oc.values[i], err)
+		}
+	}
+	if r := e.Report(); r.Computed != int64(len(batch)) || r.CacheEntries != len(batch) {
+		t.Fatalf("report %+v: want every set computed and cached once", r)
+	}
+}
+
+// TestIncrementalJobCancelMidExtension: cancelling a batch while its
+// caller is still keying resolves every item — computed, or with the
+// context's error — and leaves no flight behind: the same sets score
+// afterwards.
+func TestIncrementalJobCancelMidExtension(t *testing.T) {
+	e, inner, batch := incrementalBatch(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	type outcome struct {
+		values []float64
+		errs   []error
+	}
+	res := make(chan outcome, 1)
+	go func() {
+		v, errs := e.EvaluateBatchContext(ctx, batch)
+		res <- outcome{v, errs}
+	}()
+	<-inner.keying
+	cancel()
+	inner.open()
+	var oc outcome
+	select {
+	case oc = <-res:
+	case <-time.After(5 * time.Second):
+		t.Fatal("batch cancelled mid-extension did not return")
+	}
+	computed := 0
+	for i, err := range oc.errs {
+		switch {
+		case err == nil:
+			if oc.values[i] != float64(batch[i][0]+batch[i][1]) {
+				t.Fatalf("item %d: value %v", i, oc.values[i])
+			}
+			computed++
+		case errors.Is(err, context.Canceled):
+			if i >= 2*keyChunk {
+				continue // never keyed
+			}
+		default:
+			t.Fatalf("item %d: unexpected error %v", i, err)
+		}
+	}
+	for i := 2 * keyChunk; i < len(batch); i++ {
+		if !errors.Is(oc.errs[i], context.Canceled) {
+			t.Fatalf("item %d after the cut: %v, want context.Canceled", i, oc.errs[i])
+		}
+	}
+	if r := e.Report(); r.Computed != int64(computed) || r.CacheEntries != computed {
+		t.Fatalf("report %+v: want %d computed and cached", r, computed)
+	}
+
+	// Every flight the cancelled batch led was published: the same
+	// sets now score instead of following a dead flight.
+	done := make(chan []error, 1)
+	go func() {
+		_, errs := e.EvaluateBatch(batch)
+		done <- errs
+	}()
+	select {
+	case errs := <-done:
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("rerun item %d: %v", i, err)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("rerun of the cancelled batch's sets did not return")
 	}
 }

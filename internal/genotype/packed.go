@@ -188,18 +188,63 @@ type Packed struct {
 
 // PackDataset packs every column of the dataset.
 func PackDataset(d *Dataset) *Packed {
+	return &Packed{
+		cols: PackRange(d, 0, d.NumSNPs()),
+		all:  NewPlaneMask(d.NumIndividuals(), nil),
+	}
+}
+
+// codeOf maps every genotype byte to its 2-bit code: 0, 1 and 2 pack
+// as themselves, Missing and every invalid code as 11, exactly as
+// PackColumnInto does.
+var codeOf = func() (t [256]uint64) {
+	for g := range t {
+		t[g] = 3
+	}
+	t[0], t[1], t[2] = 0, 1, 2
+	return t
+}()
+
+// PackRange packs SNP columns [start, end) of the row-major table into
+// columns that share one flat word allocation, word-identical to
+// PackColumnInto over each Dataset.Column. It is a transpose rather
+// than a strided gather: the outer loop walks the rows four at a time,
+// the inner loop the range's columns, so each row is read sequentially
+// and every column word takes one read-modify-write per four rows.
+func PackRange(d *Dataset, start, end int) []PackedColumn {
 	rows := d.NumIndividuals()
 	nw := packedWords(rows)
-	flat := make([]uint64, nw*d.NumSNPs())
-	p := &Packed{
-		cols: make([]PackedColumn, d.NumSNPs()),
-		all:  NewPlaneMask(rows, nil),
+	width := end - start
+	words := make([]uint64, nw*width)
+	cols := make([]PackedColumn, width)
+	for c := range cols {
+		cols[c] = PackedColumn{words: words[c*nw : (c+1)*nw : (c+1)*nw], n: rows}
 	}
-	buf := make([]Genotype, rows)
-	for j := range p.cols {
-		p.cols[j] = PackColumnInto(d.Column(j, buf), flat[j*nw:(j+1)*nw])
+	if width == 0 {
+		return cols // no words: the row loops below would slice past them
 	}
-	return p
+	ind := d.Individuals
+	r := 0
+	// Four rows starting at a multiple of 4 share one word, since 4
+	// divides WordGenotypes.
+	for ; r+4 <= rows; r += 4 {
+		g0 := ind[r].Genotypes[start:end]
+		g1 := ind[r+1].Genotypes[start:end][:len(g0)]
+		g2 := ind[r+2].Genotypes[start:end][:len(g0)]
+		g3 := ind[r+3].Genotypes[start:end][:len(g0)]
+		ws, shift := words[r/WordGenotypes:], 2*uint(r%WordGenotypes)
+		for c, g := range g0 {
+			x := codeOf[g] | codeOf[g1[c]]<<2 | codeOf[g2[c]]<<4 | codeOf[g3[c]]<<6
+			ws[c*nw] |= x << shift
+		}
+	}
+	for ; r < rows; r++ {
+		ws, shift := words[r/WordGenotypes:], 2*uint(r%WordGenotypes)
+		for c, g := range ind[r].Genotypes[start:end] {
+			ws[c*nw] |= codeOf[g] << shift
+		}
+	}
+	return cols
 }
 
 // NumSNPs returns the number of packed columns.

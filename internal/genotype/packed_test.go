@@ -238,3 +238,41 @@ func TestPackedHWEParity(t *testing.T) {
 		}
 	}
 }
+
+// TestPackRangeMatchesPackColumnInto: the row-block range packer is
+// word-identical to packing each Dataset.Column on its own, for row
+// counts around the word boundary, for ranges at the start, middle and
+// end of the table, and with Missing and invalid codes (which both
+// pack as 11).
+func TestPackRangeMatchesPackColumnInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	const snps = 23
+	for _, rows := range []int{1, 31, 32, 33, 176} {
+		d := testDataset(rng, rows, snps, 0.1)
+		for i := range d.Individuals {
+			if rng.Intn(5) == 0 {
+				d.Individuals[i].Genotypes[rng.Intn(snps)] = Genotype(3 + rng.Intn(252)) // invalid
+			}
+		}
+		for _, rg := range [][2]int{{0, 5}, {0, snps}, {9, 14}, {17, snps}, {22, snps}, {4, 4}} {
+			cols := PackRange(d, rg[0], rg[1])
+			if len(cols) != rg[1]-rg[0] {
+				t.Fatalf("rows=%d range %v: %d columns", rows, rg, len(cols))
+			}
+			buf := make([]Genotype, rows)
+			for c, got := range cols {
+				want := PackColumnInto(d.Column(rg[0]+c, buf), nil)
+				if got.Len() != want.Len() || len(got.words) != len(want.words) {
+					t.Fatalf("rows=%d column %d: shape %d/%d, want %d/%d",
+						rows, rg[0]+c, got.Len(), len(got.words), want.Len(), len(want.words))
+				}
+				for w := range want.words {
+					if got.words[w] != want.words[w] {
+						t.Fatalf("rows=%d column %d word %d: %#x, want %#x",
+							rows, rg[0]+c, w, got.words[w], want.words[w])
+					}
+				}
+			}
+		}
+	}
+}

@@ -22,7 +22,8 @@ import (
 // concurrent use.
 type Evaluator struct {
 	*fitness.Pipeline
-	src Source
+	src  Source
+	plan Plan // src.Plan(), read once at construction
 }
 
 // NewEvaluator builds the shard-aware evaluator for the dataset served
@@ -37,7 +38,7 @@ func NewEvaluator(src Source, d *genotype.Dataset, stat clump.Statistic, em ehdi
 	if plan.Parent != d.Fingerprint() || plan.NumSNPs != d.NumSNPs() || plan.Rows != d.NumIndividuals() {
 		return nil, fmt.Errorf("shard: source plan does not describe this dataset")
 	}
-	e := &Evaluator{src: src}
+	e := &Evaluator{src: src, plan: plan}
 	p, err := fitness.NewGatherPipeline(d, stat, em, e.gather)
 	if err != nil {
 		return nil, err
@@ -54,7 +55,7 @@ func NewEvaluator(src Source, d *genotype.Dataset, stat clump.Statistic, em ehdi
 // value is stable across runs and processes — restored caches stay
 // valid. Implements engine.KeyFingerprinter.
 func (e *Evaluator) KeyFingerprint(sites []int) uint64 {
-	plan := e.src.Plan()
+	plan := &e.plan
 	const (
 		offset uint64 = 14695981039346656037
 		prime  uint64 = 1099511628211
@@ -86,10 +87,9 @@ func (e *Evaluator) KeyFingerprint(sites []int) uint64 {
 // words were packed when the shard was materialized; gathering copies
 // slice headers only.
 func (e *Evaluator) gather(sites []int, cols []genotype.PackedColumn) error {
-	plan := e.src.Plan()
 	var cur *Shard
 	for i, s := range sites {
-		if si := plan.ShardOf(s); cur == nil || cur.Meta.Index != si {
+		if si := e.plan.ShardOf(s); cur == nil || cur.Meta.Index != si {
 			sh, err := e.src.Shard(si)
 			if err != nil {
 				return err

@@ -136,10 +136,11 @@ func (s *Shard) PackedColumn(site int) genotype.PackedColumn {
 	return s.Packed[site-s.Meta.Start]
 }
 
-// packShard materializes shard m of a table with the given row count.
-// column fills dst (len rows) with the genotypes of the shard's i-th
-// column; it is called once per column, in order, with one reused
-// buffer. The packed words of every column share one flat allocation.
+// packShard materializes shard m of a column-major table (a spill
+// file's payload) with the given row count. column fills dst (len
+// rows) with the genotypes of the shard's i-th column; it is called
+// once per column, in order, with one reused buffer. The packed words
+// of every column share one flat allocation.
 func packShard(m Meta, rows int, column func(i int, dst []genotype.Genotype) error) (*Shard, error) {
 	nw := (rows + genotype.WordGenotypes - 1) / genotype.WordGenotypes
 	words := make([]uint64, nw*m.Width())
@@ -154,11 +155,9 @@ func packShard(m Meta, rows int, column func(i int, dst []genotype.Genotype) err
 	return sh, nil
 }
 
-// buildShard packs shard m straight from the dataset.
+// buildShard packs shard m straight from the row-major dataset, a
+// row-block transpose (genotype.PackRange) rather than one strided
+// column gather per SNP.
 func buildShard(d *genotype.Dataset, m Meta) *Shard {
-	sh, _ := packShard(m, d.NumIndividuals(), func(i int, dst []genotype.Genotype) error {
-		d.Column(m.Start+i, dst)
-		return nil
-	})
-	return sh
+	return &Shard{Meta: m, Packed: genotype.PackRange(d, m.Start, m.End)}
 }

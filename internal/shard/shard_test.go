@@ -297,3 +297,90 @@ func TestSourceShardOutOfRange(t *testing.T) {
 		t.Fatal("Shard on a closed source succeeded")
 	}
 }
+
+// shardsIdentical checks two materializations of one shard hold the
+// same packed words, compared through their class planes (het, hom2
+// and missing determine both bits of every code).
+func shardsIdentical(t *testing.T, name string, a, b *Shard) {
+	t.Helper()
+	if a.Meta != b.Meta || len(a.Packed) != len(b.Packed) {
+		t.Fatalf("%s: shard %d shape differs", name, a.Meta.Index)
+	}
+	for c := range a.Packed {
+		x, y := a.Packed[c], b.Packed[c]
+		if x.Len() != y.Len() || x.NumWords() != y.NumWords() {
+			t.Fatalf("%s: shard %d column %d: %d rows/%d words vs %d/%d",
+				name, a.Meta.Index, c, x.Len(), x.NumWords(), y.Len(), y.NumWords())
+		}
+		for w := 0; w < x.NumWords(); w++ {
+			h1, t1, m1 := x.Planes(w)
+			h2, t2, m2 := y.Planes(w)
+			if h1 != h2 || t1 != t2 || m1 != m2 {
+				t.Fatalf("%s: shard %d column %d word %d differs", name, a.Meta.Index, c, w)
+			}
+		}
+	}
+}
+
+// TestMemAndSpillShardsWordIdentical: the Mem source and the spill
+// source pack from different layouts (row-major table, column-major
+// file payload), and the spill source packs its first touch from the
+// table too. All three must produce the same words for every shard of
+// one plan.
+func TestMemAndSpillShardsWordIdentical(t *testing.T) {
+	d := testDataset(t, 51)
+	mem, err := NewMem(d, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	dir := t.TempDir()
+	first, err := NewSpill(d, dir, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	reread, err := NewSpill(d, dir, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reread.Close()
+	for i := 0; i < mem.Plan().NumShards(); i++ {
+		m, err := mem.Shard(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := first.Shard(i) // writes the file, packs from the table
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := reread.Shard(i) // reads the file back
+		if err != nil {
+			t.Fatal(err)
+		}
+		shardsIdentical(t, "spill first touch", m, f)
+		shardsIdentical(t, "spill read", m, r)
+	}
+}
+
+// BenchmarkPackShard packs one DefaultShardSize-wide shard of the
+// paper's 176 individuals (1% missing) from the row-major table, the
+// work a cold Mem shard or a spill first touch costs.
+func BenchmarkPackShard(b *testing.B) {
+	cfg := popgen.Paper249(1)
+	cfg.NumSNPs = DefaultShardSize
+	cfg.MissingRate = 0.01
+	d, err := popgen.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := PlanFor(d, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buildShard(d, plan.Metas[0])
+	}
+}

@@ -30,6 +30,7 @@ import (
 	"regexp"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -41,6 +42,13 @@ const modulePrefix = "repro"
 // down before declaring a leak. Winding down is normally instant; the
 // generous budget absorbs a loaded CI machine.
 const settleTimeout = 10 * time.Second
+
+// active records the tests with a Check registered, so a second Check
+// in the same test is a no-op.
+var active = struct {
+	sync.Mutex
+	tests map[TB]bool
+}{tests: make(map[TB]bool)}
 
 // TB is the subset of testing.TB the checker needs; taking the
 // interface keeps the package free of a testing import cycle and
@@ -57,11 +65,30 @@ type TB interface {
 // it before constructing whatever the test must tear down — t.Cleanup
 // functions run in reverse registration order, so the leak check runs
 // last.
+//
+// Only the first Check of a test counts; a later one (a helper that
+// calls Check, used twice in one test) is a no-op. The later check's
+// cleanup would run before the cleanups registered between the two
+// calls, so it would judge fixtures that are not torn down yet, while
+// the first check's snapshot predates every fixture and its cleanup
+// still runs after all of them.
 func Check(t TB) {
 	t.Helper()
+	active.Lock()
+	if active.tests[t] {
+		active.Unlock()
+		return
+	}
+	active.tests[t] = true
+	active.Unlock()
 	before := snapshot()
 	t.Cleanup(func() {
 		t.Helper()
+		defer func() {
+			active.Lock()
+			delete(active.tests, t)
+			active.Unlock()
+		}()
 		leaked := settle(before)
 		if len(leaked) == 0 {
 			return

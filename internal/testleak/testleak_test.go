@@ -109,3 +109,59 @@ func TestInModuleFilter(t *testing.T) {
 		t.Fatal("signal plumbing misclassified as module goroutine")
 	}
 }
+
+// parkA and parkB are two distinct parking places for one fixture
+// goroutine, so its stack differs depending on where it waits.
+func parkA(moveOn chan struct{})  { <-moveOn }
+func parkB(release chan struct{}) { <-release }
+
+// TestSecondCheckIsNoOp: a helper that calls Check, used twice in one
+// test. Fixture 1's goroutine sits in parkA when the second Check
+// snapshots and has moved to parkB by teardown, a stack the second
+// snapshot never saw. Cleanups run last-in first-out, so the second
+// check's cleanup would run before fixture 1's teardown and wait out
+// settleTimeout on that goroutine. Only the first check counts; it
+// runs after every teardown and finds nothing left.
+func TestSecondCheckIsNoOp(t *testing.T) {
+	rec := &recorder{}
+	Check(rec)
+	moveOn, release, exited := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		parkA(moveOn)
+		parkB(release)
+	}()
+	rec.Cleanup(func() { close(release); <-exited }) // fixture 1's teardown
+	waitFor(t, "parkA")
+	Check(rec) // the second check
+	close(moveOn)
+	waitFor(t, "parkB")
+	start := time.Now()
+	rec.runCleanups()
+	if rec.failed {
+		t.Fatalf("second check reported fixture 1 before its teardown: %s", rec.message)
+	}
+	if d := time.Since(start); d > settleTimeout/2 {
+		t.Fatalf("teardown took %v: a check waited on a goroutine that was about to exit", d)
+	}
+	if len(rec.cleanups) != 2 {
+		t.Fatalf("%d cleanups registered, want 2 (the second Check adds none)", len(rec.cleanups))
+	}
+}
+
+// waitFor polls until a module goroutine parks in fn.
+func waitFor(t *testing.T, fn string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for _, g := range moduleGoroutines() {
+			if strings.Contains(g, "testleak."+fn+"(") {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no goroutine parked in %s", fn)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
