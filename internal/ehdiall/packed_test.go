@@ -140,7 +140,7 @@ func TestEstimatePackedValidation(t *testing.T) {
 	if _, err := EstimatePacked(big, genotype.NewPlaneMask(d.NumIndividuals(), nil), Config{}, nil); err == nil {
 		t.Fatal("k > MaxSNPs accepted")
 	}
-	short := genotype.PackColumnInto(make([]genotype.Genotype, 5), nil)
+	short := genotype.PackRange(parityDataset(rand.New(rand.NewSource(10)), 5, 1, 0), 0, 1)[0]
 	if _, err := EstimatePacked([]genotype.PackedColumn{short}, genotype.NewPlaneMask(d.NumIndividuals(), nil), Config{}, nil); err == nil {
 		t.Fatal("column/mask row mismatch accepted")
 	}

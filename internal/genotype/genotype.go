@@ -266,20 +266,6 @@ func (d *Dataset) ColumnPatterns(rows []int, sites []int) [][]Genotype {
 	return out
 }
 
-// Column copies SNP column j into dst (grown as needed) and returns
-// it: one genotype per individual, in dataset row order. Shard sources
-// use it to extract column-major views of the row-major table.
-func (d *Dataset) Column(j int, dst []Genotype) []Genotype {
-	if cap(dst) < len(d.Individuals) {
-		dst = make([]Genotype, len(d.Individuals))
-	}
-	dst = dst[:len(d.Individuals)]
-	for i := range d.Individuals {
-		dst[i] = d.Individuals[i].Genotypes[j]
-	}
-	return dst
-}
-
 // SNPIndexByName returns a map from SNP name to column index.
 func (d *Dataset) SNPIndexByName() map[string]int {
 	m := make(map[string]int, len(d.SNPs))

@@ -31,6 +31,7 @@ package genotype
 // concurrent readers, like the byte columns it mirrors.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -61,34 +62,6 @@ func tailPlane(n int) uint64 {
 type PackedColumn struct {
 	words []uint64
 	n     int
-}
-
-// PackColumnInto packs a genotype column. Codes are 00/01/10 for 0/1/2
-// copies of allele 2; Missing (and any invalid code, which a validated
-// dataset never contains) packs as 11. Unused slots of the last word
-// are left as 00 and are excluded from every count by the membership
-// mask, never by the class planes (00 belongs to no plane). words is
-// reused as the backing storage when it is large enough.
-func PackColumnInto(gs []Genotype, words []uint64) PackedColumn {
-	nw := packedWords(len(gs))
-	if cap(words) < nw {
-		words = make([]uint64, nw)
-	}
-	words = words[:nw]
-	for i := range words {
-		words[i] = 0
-	}
-	for i, g := range gs {
-		var code uint64
-		switch g {
-		case 0, 1, 2:
-			code = uint64(g)
-		default:
-			code = 3
-		}
-		words[i/WordGenotypes] |= code << (2 * uint(i%WordGenotypes))
-	}
-	return PackedColumn{words: words, n: len(gs)}
 }
 
 // Len returns the number of rows (genotypes) in the column.
@@ -195,8 +168,7 @@ func PackDataset(d *Dataset) *Packed {
 }
 
 // codeOf maps every genotype byte to its 2-bit code: 0, 1 and 2 pack
-// as themselves, Missing and every invalid code as 11, exactly as
-// PackColumnInto does.
+// as themselves, Missing and every invalid code as 11.
 var codeOf = func() (t [256]uint64) {
 	for g := range t {
 		t[g] = 3
@@ -206,8 +178,7 @@ var codeOf = func() (t [256]uint64) {
 }()
 
 // PackRange packs SNP columns [start, end) of the row-major table into
-// columns that share one flat word allocation, word-identical to
-// PackColumnInto over each Dataset.Column. It is a transpose rather
+// columns that share one flat word allocation. It is a transpose rather
 // than a strided gather: the outer loop walks the rows four at a time,
 // the inner loop the range's columns, so each row is read sequentially
 // and every column word takes one read-modify-write per four rows.
@@ -245,6 +216,45 @@ func PackRange(d *Dataset, start, end int) []PackedColumn {
 		}
 	}
 	return cols
+}
+
+// AppendWords appends the words of cols to b, column after column,
+// each word as 8 little-endian bytes: the layout DecodeWords reads.
+// The columns must share one row count, as PackRange's do.
+func AppendWords(b []byte, cols []PackedColumn) []byte {
+	for _, c := range cols {
+		for _, w := range c.words {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+	}
+	return b
+}
+
+// DecodeWords rebuilds width columns of rows genotypes from the
+// AppendWords layout, into one flat word allocation like PackRange's.
+// b must hold exactly the columns' words, and no column may set a bit
+// in the unused slots of its last word.
+func DecodeWords(b []byte, width, rows int) ([]PackedColumn, error) {
+	nw := packedWords(rows)
+	if len(b) != 8*nw*width {
+		return nil, fmt.Errorf("genotype: %d bytes of packed words, want %d for %d columns of %d rows",
+			len(b), 8*nw*width, width, rows)
+	}
+	words := make([]uint64, nw*width)
+	for i := range words {
+		words[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	tail := tailPlane(rows)
+	tail |= tail << 1
+	cols := make([]PackedColumn, width)
+	for c := range cols {
+		cw := words[c*nw : (c+1)*nw : (c+1)*nw]
+		if nw > 0 && cw[nw-1]&^tail != 0 {
+			return nil, fmt.Errorf("genotype: packed column %d sets slots past row %d", c, rows)
+		}
+		cols[c] = PackedColumn{words: cw, n: rows}
+	}
+	return cols, nil
 }
 
 // NumSNPs returns the number of packed columns.

@@ -6,6 +6,46 @@ import (
 	"testing"
 )
 
+// packColumnInto is the one-column reference packer PackRange is
+// checked against: codes 00/01/10 for 0/1/2 copies of allele 2,
+// Missing (and any invalid code) as 11, unused slots of the last word
+// as 00. words is reused as the backing storage when it is large
+// enough.
+func packColumnInto(gs []Genotype, words []uint64) PackedColumn {
+	nw := packedWords(len(gs))
+	if cap(words) < nw {
+		words = make([]uint64, nw)
+	}
+	words = words[:nw]
+	for i := range words {
+		words[i] = 0
+	}
+	for i, g := range gs {
+		var code uint64
+		switch g {
+		case 0, 1, 2:
+			code = uint64(g)
+		default:
+			code = 3
+		}
+		words[i/WordGenotypes] |= code << (2 * uint(i%WordGenotypes))
+	}
+	return PackedColumn{words: words, n: len(gs)}
+}
+
+// column copies SNP column j of d into dst (grown as needed): one
+// genotype per individual, in dataset row order.
+func column(d *Dataset, j int, dst []Genotype) []Genotype {
+	if cap(dst) < len(d.Individuals) {
+		dst = make([]Genotype, len(d.Individuals))
+	}
+	dst = dst[:len(d.Individuals)]
+	for i := range d.Individuals {
+		dst[i] = d.Individuals[i].Genotypes[j]
+	}
+	return dst
+}
+
 // randColumn builds a random column of n genotypes with the given
 // missing-rate.
 func randColumn(rng *rand.Rand, n int, missRate float64) []Genotype {
@@ -29,7 +69,7 @@ func TestPackedRoundTrip(t *testing.T) {
 	for _, n := range tailLengths {
 		for _, missRate := range []float64{0, 0.1, 1} {
 			col := randColumn(rng, n, missRate)
-			pc := PackColumnInto(col, nil)
+			pc := packColumnInto(col, nil)
 			if pc.Len() != n {
 				t.Fatalf("n=%d: Len() = %d", n, pc.Len())
 			}
@@ -52,7 +92,7 @@ func TestPackColumnIntoReuse(t *testing.T) {
 	for i := range buf {
 		buf[i] = ^uint64(0)
 	}
-	pc := PackColumnInto(col, buf)
+	pc := packColumnInto(col, buf)
 	for i := range col {
 		if got := pc.Get(i); got != col[i] {
 			t.Fatalf("reused buffer: row %d = %v, want %v", i, got, col[i])
@@ -116,7 +156,7 @@ func TestCountsExhaustive(t *testing.T) {
 		masks = append(masks, NewPlaneMask(n, []int{})) // empty selection
 
 		for ci, col := range cols {
-			pc := PackColumnInto(col, nil)
+			pc := packColumnInto(col, nil)
 			for mi, m := range masks {
 				n0, n1, n2, miss := pc.Counts(m)
 				var w0, w1, w2, wm int
@@ -240,7 +280,7 @@ func TestPackedHWEParity(t *testing.T) {
 }
 
 // TestPackRangeMatchesPackColumnInto: the row-block range packer is
-// word-identical to packing each Dataset.Column on its own, for row
+// word-identical to packing each column on its own, for row
 // counts around the word boundary, for ranges at the start, middle and
 // end of the table, and with Missing and invalid codes (which both
 // pack as 11).
@@ -261,7 +301,7 @@ func TestPackRangeMatchesPackColumnInto(t *testing.T) {
 			}
 			buf := make([]Genotype, rows)
 			for c, got := range cols {
-				want := PackColumnInto(d.Column(rg[0]+c, buf), nil)
+				want := packColumnInto(column(d, rg[0]+c, buf), nil)
 				if got.Len() != want.Len() || len(got.words) != len(want.words) {
 					t.Fatalf("rows=%d column %d: shape %d/%d, want %d/%d",
 						rows, rg[0]+c, got.Len(), len(got.words), want.Len(), len(want.words))
@@ -272,6 +312,49 @@ func TestPackRangeMatchesPackColumnInto(t *testing.T) {
 							rows, rg[0]+c, w, got.words[w], want.words[w])
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestWordsRoundTrip: DecodeWords gives back PackRange's words from
+// AppendWords' bytes, at row counts around the word boundary, and
+// rejects a payload of the wrong length or with a tail slot set.
+func TestWordsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const snps = 9
+	for _, rows := range []int{1, 31, 32, 33, 176} {
+		d := testDataset(rng, rows, snps, 0.1)
+		want := PackRange(d, 0, snps)
+		b := AppendWords(nil, want)
+		if n := 8 * packedWords(rows) * snps; len(b) != n {
+			t.Fatalf("rows=%d: %d bytes, want %d", rows, len(b), n)
+		}
+		got, err := DecodeWords(b, snps, rows)
+		if err != nil {
+			t.Fatalf("rows=%d: %v", rows, err)
+		}
+		for c := range want {
+			if got[c].Len() != rows || len(got[c].words) != len(want[c].words) {
+				t.Fatalf("rows=%d column %d: shape %d/%d", rows, c, got[c].Len(), len(got[c].words))
+			}
+			for w := range want[c].words {
+				if got[c].words[w] != want[c].words[w] {
+					t.Fatalf("rows=%d column %d word %d: %#x, want %#x", rows, c, w, got[c].words[w], want[c].words[w])
+				}
+			}
+		}
+		if _, err := DecodeWords(b[:len(b)-1], snps, rows); err == nil {
+			t.Fatalf("rows=%d: short payload accepted", rows)
+		}
+		if _, err := DecodeWords(append(b, 0), snps, rows); err == nil {
+			t.Fatalf("rows=%d: long payload accepted", rows)
+		}
+		if rows%WordGenotypes != 0 {
+			bad := append([]byte(nil), b...)
+			bad[len(bad)-1] |= 0x80 // top slot of the last column's last word
+			if _, err := DecodeWords(bad, snps, rows); err == nil {
+				t.Fatalf("rows=%d: set tail slot accepted", rows)
 			}
 		}
 	}

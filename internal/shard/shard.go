@@ -124,9 +124,10 @@ type Shard struct {
 	Meta Meta
 	// Packed holds the genotype columns: Packed[i] is global column
 	// Meta.Start+i, one 2-bit code per individual in dataset row
-	// order. The words are packed once when the shard is materialized
-	// (built from the table or read back from a spill file), so the
-	// kernel gathers words and never repacks.
+	// order. The words are packed once, from the table, when the shard
+	// is first materialized; a spill file holds those same words, so
+	// a re-read decodes them and the kernel gathers words and never
+	// repacks.
 	Packed []genotype.PackedColumn
 }
 
@@ -134,25 +135,6 @@ type Shard struct {
 // [Meta.Start, Meta.End).
 func (s *Shard) PackedColumn(site int) genotype.PackedColumn {
 	return s.Packed[site-s.Meta.Start]
-}
-
-// packShard materializes shard m of a column-major table (a spill
-// file's payload) with the given row count. column fills dst (len
-// rows) with the genotypes of the shard's i-th column; it is called
-// once per column, in order, with one reused buffer. The packed words
-// of every column share one flat allocation.
-func packShard(m Meta, rows int, column func(i int, dst []genotype.Genotype) error) (*Shard, error) {
-	nw := (rows + genotype.WordGenotypes - 1) / genotype.WordGenotypes
-	words := make([]uint64, nw*m.Width())
-	col := make([]genotype.Genotype, rows)
-	sh := &Shard{Meta: m, Packed: make([]genotype.PackedColumn, m.Width())}
-	for i := range sh.Packed {
-		if err := column(i, col); err != nil {
-			return nil, err
-		}
-		sh.Packed[i] = genotype.PackColumnInto(col, words[i*nw:(i+1)*nw])
-	}
-	return sh, nil
 }
 
 // buildShard packs shard m straight from the row-major dataset, a

@@ -3,8 +3,11 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -202,20 +205,35 @@ func TestSpillFilesAreWriteOnceAndReusable(t *testing.T) {
 }
 
 // spillBytes is the on-disk image of shard m, built straight from the
-// dataset rows: the 40-byte header ("LDSHRD1\n", then parent
-// fingerprint, start, end and row count as little-endian uint64s)
-// followed by the shard's genotypes column-major, one byte each.
+// dataset rows: the 44-byte header ("LDSHRD2\n", then parent
+// fingerprint, start, end and row count as little-endian uint64s, then
+// the IEEE CRC-32 of the payload as a little-endian uint32) followed
+// by the payload: column after column, ceil(rows/32) 64-bit words
+// each, written little-endian, with row r's 2-bit code (00, 01, 10 =
+// 0, 1, 2 copies of allele 2, 11 = missing) at bits 2(r mod 32) of
+// word r/32.
 func spillBytes(d *genotype.Dataset, plan Plan, m Meta) []byte {
-	b := []byte("LDSHRD1\n")
+	b := []byte("LDSHRD2\n")
 	for _, v := range []uint64{plan.Parent, uint64(m.Start), uint64(m.End), uint64(plan.Rows)} {
 		b = binary.LittleEndian.AppendUint64(b, v)
 	}
+	var payload []byte
+	nw := (plan.Rows + 31) / 32
 	for s := m.Start; s < m.End; s++ {
-		for _, ind := range d.Individuals {
-			b = append(b, byte(ind.Genotypes[s]))
+		words := make([]uint64, nw)
+		for r, ind := range d.Individuals {
+			code := uint64(ind.Genotypes[s])
+			if ind.Genotypes[s] == genotype.Missing {
+				code = 3
+			}
+			words[r/32] |= code << (2 * uint(r%32))
+		}
+		for _, w := range words {
+			payload = binary.LittleEndian.AppendUint64(payload, w)
 		}
 	}
-	return b
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
 }
 
 // TestSpillFileFormat pins the spill layout on disk. The round-trip
@@ -236,10 +254,10 @@ func TestSpillFileFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := spillBytes(d, plan, m)
-		if !bytes.Equal(want[:spillHeaderSize], spillHeader(plan, m)) {
-			t.Fatalf("shard %d: spillHeader differs from the pinned layout", i)
+		if !bytes.Equal(want[:spillIdentSize], spillIdent(plan, m)) {
+			t.Fatalf("shard %d: spillIdent differs from the pinned layout", i)
 		}
-		got, err := os.ReadFile(spillPath(dir, i))
+		got, err := os.ReadFile(spillPath(dir, m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,8 +271,8 @@ func TestSpillFileFormat(t *testing.T) {
 	// are served as they are: same genotypes, never rewritten.
 	dir2 := t.TempDir()
 	old := time.Date(2004, 4, 26, 0, 0, 0, 0, time.UTC)
-	for i, m := range plan.Metas {
-		path := spillPath(dir2, i)
+	for _, m := range plan.Metas {
+		path := spillPath(dir2, m)
 		if err := os.WriteFile(path, spillBytes(d, plan, m), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -268,13 +286,178 @@ func TestSpillFileFormat(t *testing.T) {
 	}
 	defer src2.Close()
 	columnsEqual(t, "pre-existing", d, src2)
-	for i := range plan.Metas {
-		fi, err := os.Stat(spillPath(dir2, i))
+	for i, m := range plan.Metas {
+		fi, err := os.Stat(spillPath(dir2, m))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !fi.ModTime().Equal(old) {
 			t.Fatalf("shard %d: pre-existing spill file was rewritten", i)
+		}
+	}
+}
+
+// oldSpillBytes is shard m's image in the LDSHRD1 format of earlier
+// builds: the 40-byte header without a CRC, then one byte per genotype,
+// column-major.
+func oldSpillBytes(d *genotype.Dataset, plan Plan, m Meta) []byte {
+	b := []byte("LDSHRD1\n")
+	for _, v := range []uint64{plan.Parent, uint64(m.Start), uint64(m.End), uint64(plan.Rows)} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	for s := m.Start; s < m.End; s++ {
+		for _, ind := range d.Individuals {
+			b = append(b, byte(ind.Genotypes[s]))
+		}
+	}
+	return b
+}
+
+// TestSpillBadFilesAreRewritten: a file in the LDSHRD1 format, one
+// with a single payload bit flipped (which still decodes to valid
+// genotypes) and a truncated one are each never served: the source
+// rewrites them from the table and serves the table's columns.
+func TestSpillBadFilesAreRewritten(t *testing.T) {
+	d := testDataset(t, 20)
+	plan, err := PlanFor(d, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]func(m Meta) []byte{
+		"LDSHRD1": func(m Meta) []byte { return oldSpillBytes(d, plan, m) },
+		"bit-flip": func(m Meta) []byte {
+			b := spillBytes(d, plan, m)
+			b[spillHeaderSize+3] ^= 0x04 // one genotype code changes
+			return b
+		},
+		"truncated": func(m Meta) []byte {
+			b := spillBytes(d, plan, m)
+			return b[:len(b)-8]
+		},
+	} {
+		dir := t.TempDir()
+		for _, m := range plan.Metas {
+			if err := os.WriteFile(spillPath(dir, m), bad(m), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		src, err := NewSpill(d, dir, 8, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		columnsEqual(t, name, d, src)
+		src.Close()
+		for i, m := range plan.Metas {
+			got, err := os.ReadFile(spillPath(dir, m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, spillBytes(d, plan, m)) {
+				t.Fatalf("%s: shard %d was not rewritten in the current format", name, i)
+			}
+		}
+	}
+}
+
+// TestSpillSourcesShareDirectory: two sources over one directory (as
+// two sessions of one dataset in ldserve) first-touch every shard at
+// once from several goroutines each. Their writers must not clobber
+// each other's temp files, so every call succeeds and serves the
+// table's words.
+func TestSpillSourcesShareDirectory(t *testing.T) {
+	d := testDataset(t, 51)
+	mem, err := NewMem(d, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	dir := t.TempDir()
+	var srcs []Source
+	for range 2 {
+		src, err := NewSpill(d, dir, 8, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		srcs = append(srcs, src)
+	}
+	n := mem.Plan().NumShards()
+	errs := make(chan error, 4*len(srcs)*n)
+	shards := make(chan *Shard, 4*len(srcs)*n)
+	var wg sync.WaitGroup
+	for _, src := range srcs {
+		for g := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range n {
+					sh, err := src.Shard((k + g) % n)
+					if err != nil {
+						errs <- err
+						continue
+					}
+					shards <- sh
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	close(shards)
+	for err := range errs {
+		t.Error(err)
+	}
+	for sh := range shards {
+		want, err := mem.Shard(sh.Meta.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shardsIdentical(t, "shared directory", want, sh)
+	}
+}
+
+// TestSpillPlansShareDirectory: files are named by column range, so a
+// shard-size-8 plan and a shard-size-16 plan spilling into one
+// directory keep their own files, and a later size-8 source reuses its
+// files instead of rewriting them.
+func TestSpillPlansShareDirectory(t *testing.T) {
+	d := testDataset(t, 51)
+	dir := t.TempDir()
+	for _, size := range []int{8, 16} {
+		src, err := NewSpill(d, dir, size, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		columnsEqual(t, fmt.Sprintf("size %d", size), d, src)
+		src.Close()
+	}
+	old := time.Date(2004, 4, 26, 0, 0, 0, 0, time.UTC)
+	files, err := filepath.Glob(filepath.Join(dir, "shard-*.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 7 size-8 ranges and 4 size-16 ranges; [48,51) belongs to both.
+	if len(files) != 10 {
+		t.Fatalf("spilled %d files, want 10", len(files))
+	}
+	for _, f := range files {
+		if err := os.Chtimes(f, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, err := NewSpill(d, dir, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	columnsEqual(t, "size 8 again", d, src)
+	for _, f := range files {
+		fi, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fi.ModTime().Equal(old) {
+			t.Fatalf("%s was rewritten", filepath.Base(f))
 		}
 	}
 }
@@ -322,10 +505,10 @@ func shardsIdentical(t *testing.T, name string, a, b *Shard) {
 	}
 }
 
-// TestMemAndSpillShardsWordIdentical: the Mem source and the spill
-// source pack from different layouts (row-major table, column-major
-// file payload), and the spill source packs its first touch from the
-// table too. All three must produce the same words for every shard of
+// TestMemAndSpillShardsWordIdentical: the Mem source packs from the
+// row-major table, the spill source packs its first touch from the
+// table and writes those words to its file, and a re-read decodes them
+// from the file. All three must hold the same words for every shard of
 // one plan.
 func TestMemAndSpillShardsWordIdentical(t *testing.T) {
 	d := testDataset(t, 51)
@@ -383,4 +566,45 @@ func BenchmarkPackShard(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buildShard(d, plan.Metas[0])
 	}
+}
+
+// BenchmarkSpillShardRead re-reads one DefaultShardSize-wide spill
+// file of the paper's 176 individuals (1% missing): what an LRU miss on
+// a spilled shard costs once its file exists — the read, the header
+// and CRC checks, and decoding the payload into packed words. The file
+// is in the page cache; file_B reports its size on disk.
+func BenchmarkSpillShardRead(b *testing.B) {
+	cfg := popgen.Paper249(1)
+	cfg.NumSNPs = DefaultShardSize
+	cfg.MissingRate = 0.01
+	d, err := popgen.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := NewSpill(d, b.TempDir(), 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer src.Close()
+	if _, err := src.Shard(0); err != nil { // first touch writes the file
+		b.Fatal(err)
+	}
+	plan := src.Plan()
+	m := plan.Metas[0]
+	path := spillPath(src.(*spillSource).dir, m)
+	fi, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if want := int64(spillHeaderSize + 8*6*DefaultShardSize); plan.Rows != 176 || fi.Size() != want {
+		b.Fatalf("%d rows, %d-byte file, want 176 rows and %d bytes", plan.Rows, fi.Size(), want)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := readSpill(path, plan, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(fi.Size()), "file_B")
 }

@@ -1,10 +1,11 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -12,23 +13,30 @@ import (
 	"repro/internal/genotype"
 )
 
-// Spill file layout: a fixed 40-byte header followed by the raw
-// genotype payload, column-major (Width() columns of Rows bytes each,
-// one byte per genotype code). Files are write-once: a valid file is
-// never rewritten, so concurrent readers and a restarted process can
-// trust whatever the header describes. The whole file is read in one
-// call — at shard granularity, sequential reads already amortize like
-// an mmap would, without platform-specific code behind the Source
-// seam.
+// Spill file layout: a fixed 44-byte header followed by the shard's
+// packed words, the layout Shard.Packed holds in memory
+// (genotype.AppendWords: Width() columns of ceil(Rows/32) words each,
+// every word 8 little-endian bytes). The header is the magic, the
+// parent fingerprint, start, end and row count as little-endian
+// uint64s, and the IEEE CRC-32 of the payload as a little-endian
+// uint32. Files are write-once: a valid file is never rewritten, so
+// concurrent readers and a restarted process can trust whatever the
+// header describes. Nothing is fsync'd: a file a crash left torn or
+// zero-filled fails the CRC and is rebuilt from the table, so it is
+// never served. The whole file is read in one call — at shard
+// granularity, sequential reads already amortize like an mmap would,
+// without platform-specific code behind the Source seam.
 const (
-	spillMagic      = "LDSHRD1\n"
-	spillHeaderSize = len(spillMagic) + 8 + 8 + 8 + 8 // magic, parent, start, end, rows
+	spillMagic      = "LDSHRD2\n"
+	spillIdentSize  = len(spillMagic) + 8 + 8 + 8 + 8 // magic, parent, start, end, rows
+	spillHeaderSize = spillIdentSize + 4              // + payload CRC-32
 )
 
-// spillHeader encodes Meta plus the row count, so a reader can verify
-// a file belongs to the plan before trusting its payload.
-func spillHeader(plan Plan, m Meta) []byte {
-	b := make([]byte, spillHeaderSize)
+// spillIdent encodes Meta plus the row count — the header minus the
+// CRC — so a reader can verify a file belongs to the plan before
+// trusting its payload.
+func spillIdent(plan Plan, m Meta) []byte {
+	b := make([]byte, spillIdentSize)
 	copy(b, spillMagic)
 	binary.LittleEndian.PutUint64(b[8:], plan.Parent)
 	binary.LittleEndian.PutUint64(b[16:], uint64(m.Start))
@@ -37,20 +45,11 @@ func spillHeader(plan Plan, m Meta) []byte {
 	return b
 }
 
-// spillPath names shard i's file inside the spill directory.
-func spillPath(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%06d.bin", i))
-}
-
-// spillManifest is the human-readable description written next to the
-// shard files; the binary headers, not the manifest, are what loads
-// are verified against.
-type spillManifest struct {
-	Parent    string `json:"parent"` // dataset fingerprint, 16 hex digits
-	NumSNPs   int    `json:"num_snps"`
-	Rows      int    `json:"rows"`
-	ShardSize int    `json:"shard_size"`
-	NumShards int    `json:"num_shards"`
+// spillPath names the file of shard m's column range inside the spill
+// directory, so plans of different shard sizes sharing a directory
+// never claim each other's files.
+func spillPath(dir string, m Meta) string {
+	return filepath.Join(dir, fmt.Sprintf("shard-%d-%d.bin", m.Start, m.End))
 }
 
 // spillSource spills shards to write-once files on first use and
@@ -64,12 +63,12 @@ type spillSource struct {
 }
 
 // NewSpill builds a Source over a spill directory (created if needed):
-// shard files are written on first demand — write-once, crash-safe via
+// shard files are written on first demand — write-once, atomic via
 // temp+rename — and later demands (including from a restarted process
 // reusing the directory) are served by reading the file back. Files
-// whose header does not match the plan (a different dataset or shard
-// size spilled here before) are rewritten. hot sizes the resident LRU
-// (0 = DefaultHotShards).
+// that do not match the plan or fail their CRC (a different dataset
+// spilled here before, an older build's format, a torn write) are
+// rewritten. hot sizes the resident LRU (0 = DefaultHotShards).
 func NewSpill(d *genotype.Dataset, dir string, shardSize, hot int) (Source, error) {
 	plan, err := PlanFor(d, shardSize)
 	if err != nil {
@@ -83,46 +82,35 @@ func NewSpill(d *genotype.Dataset, dir string, shardSize, hot int) (Source, erro
 	}
 	s := &spillSource{dir: dir, data: d}
 	s.lruSource = newLRUSource(plan, hot, s.loadShard)
-	man, err := json.Marshal(spillManifest{
-		Parent:    fmt.Sprintf("%016x", plan.Parent),
-		NumSNPs:   plan.NumSNPs,
-		Rows:      plan.Rows,
-		ShardSize: plan.ShardSize,
-		NumShards: plan.NumShards(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), man, 0o644); err != nil {
-		return nil, fmt.Errorf("shard: spill manifest: %w", err)
-	}
 	return s, nil
 }
 
 // loadShard reads shard i's spill file, writing it first if absent or
 // stale.
 func (s *spillSource) loadShard(i int) (*Shard, error) {
-	m := s.lruSource.plan.Metas[i]
-	path := spillPath(s.dir, i)
-	sh, err := readSpill(path, s.lruSource.plan, m)
+	plan := s.lruSource.plan
+	m := plan.Metas[i]
+	path := spillPath(s.dir, m)
+	sh, err := readSpill(path, plan, m)
 	if err == nil {
 		return sh, nil
 	}
 	if !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, errSpillStale) {
 		return nil, err
 	}
-	// First touch (or a stale leftover from another dataset): spill
-	// from the table and pack. Write-once via temp+rename, so a
-	// concurrent loader or a crash never exposes a torn file.
-	if err := writeSpill(path, s.lruSource.plan, m, s.data); err != nil {
+	// First touch (or a stale leftover): pack from the table once and
+	// spill those words.
+	sh = buildShard(s.data, m)
+	if err := writeSpill(path, plan, sh); err != nil {
 		return nil, err
 	}
-	return buildShard(s.data, m), nil
+	return sh, nil
 }
 
-// errSpillStale marks a structurally intact spill file that belongs to
-// a different plan (dataset, range or row count mismatch).
-var errSpillStale = errors.New("shard: spill file does not match plan")
+// errSpillStale marks a spill file that must not be served: another
+// plan's or format's header, a payload failing its CRC, or a wrong
+// payload length.
+var errSpillStale = errors.New("shard: stale spill file")
 
 // readSpill loads and verifies one spill file.
 func readSpill(path string, plan Plan, m Meta) (*Shard, error) {
@@ -130,45 +118,40 @@ func readSpill(path string, plan Plan, m Meta) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	want := spillHeader(plan, m)
-	if len(b) < spillHeaderSize || string(b[:spillHeaderSize]) != string(want) {
-		return nil, fmt.Errorf("%w: %s", errSpillStale, path)
+	if len(b) < spillHeaderSize || !bytes.Equal(b[:spillIdentSize], spillIdent(plan, m)) {
+		return nil, fmt.Errorf("%w: %s: header does not match the plan", errSpillStale, path)
 	}
 	payload := b[spillHeaderSize:]
-	if len(payload) != m.Width()*plan.Rows {
-		return nil, fmt.Errorf("%w: %s: payload %d bytes, want %d",
-			errSpillStale, path, len(payload), m.Width()*plan.Rows)
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[spillIdentSize:]) {
+		return nil, fmt.Errorf("%w: %s: payload CRC mismatch", errSpillStale, path)
 	}
-	return packShard(m, plan.Rows, func(c int, dst []genotype.Genotype) error {
-		off := c * plan.Rows
-		for r, v := range payload[off : off+plan.Rows] {
-			g := genotype.Genotype(v)
-			if !g.Valid() {
-				return fmt.Errorf("shard: corrupt spill file %s: invalid genotype %d at offset %d", path, v, off+r)
-			}
-			dst[r] = g
-		}
-		return nil
-	})
+	cols, err := genotype.DecodeWords(payload, m.Width(), plan.Rows)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", errSpillStale, path, err)
+	}
+	return &Shard{Meta: m, Packed: cols}, nil
 }
 
-// writeSpill lands shard m of the dataset as one file atomically
-// (temp + rename).
-func writeSpill(path string, plan Plan, m Meta, d *genotype.Dataset) error {
-	buf := make([]byte, 0, spillHeaderSize+m.Width()*plan.Rows)
-	buf = append(buf, spillHeader(plan, m)...)
-	col := make([]genotype.Genotype, plan.Rows)
-	for j := m.Start; j < m.End; j++ {
-		for _, g := range d.Column(j, col) {
-			buf = append(buf, byte(g))
-		}
-	}
-	tmp := fmt.Sprintf("%s.tmp%d", path, os.Getpid())
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+// writeSpill lands shard sh as one file atomically: a uniquely named
+// temp file in the same directory, renamed over path, so concurrent
+// writers of one shard (two sources over one directory) never clobber
+// each other's temp file and a reader never sees a torn file.
+func writeSpill(path string, plan Plan, sh *Shard) error {
+	buf := genotype.AppendWords(append(spillIdent(plan, sh.Meta), 0, 0, 0, 0), sh.Packed)
+	binary.LittleEndian.PutUint32(buf[spillIdentSize:], crc32.ChecksumIEEE(buf[spillHeaderSize:]))
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
 		return fmt.Errorf("shard: spill write: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	_, err = f.Write(buf)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		return fmt.Errorf("shard: spill write: %w", err)
 	}
 	return nil
