@@ -176,14 +176,14 @@ func TestCorpusFidelity(t *testing.T) {
 	for i, c := range paperCorpus(t) {
 		plainLL, plainSteps := plain[i].ll, plain[i].steps
 		res := estimateCore(c.groups, c.n, c.k, c.p2, cfg, &scr)
-		if plainSteps <= squaremAfter && (res.LogLik != plainLL || res.Iterations != plainSteps) {
+		if plainSteps <= squaremAfter && (res.LogLik() != plainLL || res.Iterations != plainSteps) {
 			t.Errorf("case %d: plain EM converges in %d steps, but the hybrid gives %d steps, LL %v vs %v",
-				i, plainSteps, res.Iterations, res.LogLik, plainLL)
+				i, plainSteps, res.Iterations, res.LogLik(), plainLL)
 		}
-		if res.LogLik == plainLL {
+		if res.LogLik() == plainLL {
 			identical++
 		}
-		short := (plainLL - res.LogLik) / math.Abs(plainLL)
+		short := (plainLL - res.LogLik()) / math.Abs(plainLL)
 		if short <= 1e-9 {
 			if fidelityExceptions[i] {
 				t.Errorf("case %d is listed as an exception but the hybrid is within 1e-9 of the plain EM", i)
@@ -192,7 +192,7 @@ func TestCorpusFidelity(t *testing.T) {
 		}
 		if !fidelityExceptions[i] {
 			t.Errorf("case %d (k=%d n=%d): hybrid LL %v is %.3g relative below plain %v",
-				i, c.k, c.n, res.LogLik, short, plainLL)
+				i, c.k, c.n, res.LogLik(), short, plainLL)
 			continue
 		}
 		refLL, _, _ := plainEstimate(c, 0, 200000)
@@ -201,7 +201,7 @@ func TestCorpusFidelity(t *testing.T) {
 				i, refLL-plainLL)
 		}
 		t.Logf("case %d (k=%d n=%d): plain %.6g and hybrid %.6g below the 200k-step reference",
-			i, c.k, c.n, refLL-plainLL, refLL-res.LogLik)
+			i, c.k, c.n, refLL-plainLL, refLL-res.LogLik())
 	}
 	t.Logf("%d of %d calls bit-identical to the plain EM", identical, len(paperCorpus(t)))
 }
@@ -226,13 +226,13 @@ func TestSquaremNeverDescends(t *testing.T) {
 		if slow++; slow > 60 {
 			break
 		}
-		floor := start.LogLik - 1e-12*math.Abs(start.LogLik)
+		floor := start.LogLik() - 1e-12*math.Abs(start.LogLik())
 		for _, tol := range []float64{Config{}.withDefaults().Tol, math.SmallestNonzeroFloat64} {
 			for budget := squaremAfter + 1; budget <= 200; budget++ {
 				res := estimateCore(c.groups, c.n, c.k, c.p2, Config{Tol: tol, MaxIter: budget}, nil)
-				if res.LogLik < floor {
+				if res.LogLik() < floor {
 					t.Errorf("case %d, Tol %g: cut at %d E-steps, LL %v is below %v at the switch to extrapolation",
-						i, tol, budget, res.LogLik, start.LogLik)
+						i, tol, budget, res.LogLik(), start.LogLik())
 					break
 				}
 				if res.Converged {

@@ -15,7 +15,9 @@
 // likelihood guard keeps the ascent monotone. Likelihoods are computed
 // with allelic association (hypothesis H1, the EM solution) and
 // without (hypothesis H0, products of single-site allele frequencies),
-// exactly as EH-DIALL reports them.
+// exactly as EH-DIALL reports them, but only when asked: the GA's
+// fitness reads the frequencies alone, so a Result forms its
+// log-likelihoods on demand.
 //
 // A call over two SNPs (k = 2) needs no iteration: the double
 // heterozygote is the only genotype of ambiguous phase, so the
@@ -85,16 +87,35 @@ type Result struct {
 	// NullFreqs has the 2^K product-of-allele-frequency haplotype
 	// frequencies under H0 (no association).
 	NullFreqs []float64
-	// LogLik and NullLogLik are the sample log-likelihoods under the
-	// two hypotheses.
-	LogLik     float64
-	NullLogLik float64
 	// Iterations is the number of E-steps performed, those inside
 	// extrapolation cycles included; Converged reports whether a plain
 	// EM step met the tolerance within MaxIter E-steps. A k = 2 call
 	// is solved exactly, with Iterations 0 and Converged true.
 	Iterations int
 	Converged  bool
+
+	// What the log-likelihood methods form their values from, so that
+	// an estimation forms none: a k = 2 call's genotype table, any
+	// other call's E-step plan (nil for k = 2).
+	cells tableCells
+	plan  *estepPlan
+}
+
+// LogLik returns the sample log-likelihood under H1, at Freqs. It is
+// formed on each call, from storage that follows Freqs' aliasing rule.
+func (r *Result) LogLik() float64 { return r.logLik(r.Freqs) }
+
+// NullLogLik returns the sample log-likelihood under H0, at NullFreqs,
+// formed as LogLik is.
+func (r *Result) NullLogLik() float64 { return r.logLik(r.NullFreqs) }
+
+// logLik is the sample log-likelihood under haplotype frequencies f:
+// the plan's, or for k = 2 the table's.
+func (r *Result) logLik(f []float64) float64 {
+	if r.plan != nil {
+		return r.plan.logLik(f)
+	}
+	return r.cells.logLik(f)
 }
 
 // LRT returns the likelihood-ratio test statistic 2(LL1 - LL0). It is
@@ -103,9 +124,10 @@ type Result struct {
 // guard rejects any extrapolation below the plain steps it replaces),
 // and a k = 2 call's exact maximum is at least the likelihood at the
 // H0 point, which lies in the interval it maximizes over. Negative
-// rounding noise is reported as 0.
+// rounding noise is reported as 0. The fitness reads only Freqs, so
+// this is the report's statistic, not the GA's.
 func (r *Result) LRT() float64 {
-	v := 2 * (r.LogLik - r.NullLogLik)
+	v := 2 * (r.LogLik() - r.NullLogLik())
 	if v < 0 {
 		return 0 // numerical guard; v >= -epsilon
 	}
@@ -205,10 +227,11 @@ func Estimate(patterns [][]genotype.Genotype, k int, cfg Config) (*Result, error
 
 // estimateCore is the single copy of the EM arithmetic shared by the
 // byte path (Estimate) and the packed path (EstimatePacked): H0 product
-// frequencies, the compiled E-step plan, null log-likelihood, the EM
-// ascent (plain steps, then SQUAREM cycles) and the H1 log-likelihood.
-// It runs for every k; the front-ends hand k = 2 calls to the exact
-// two-locus solver instead. Both front-ends produce identical groups in
+// frequencies, the compiled E-step plan and the EM ascent (plain steps,
+// then SQUAREM cycles). It forms no log-likelihood: the Result keeps
+// the plan, and its methods form them from it on demand. It runs for
+// every k; the front-ends hand k = 2 calls to the exact two-locus
+// solver instead. Both front-ends produce identical groups in
 // identical order and identical p2 marginals, so sharing this code is
 // what makes their Results bit-identical. With a nil scratch every
 // buffer (and the Result) is freshly allocated; with a scratch the
@@ -217,30 +240,32 @@ func Estimate(patterns [][]genotype.Genotype, k int, cfg Config) (*Result, error
 func estimateCore(groups []patternGroup, n, k int, p2 []float64, cfg Config, scr *Scratch) *Result {
 	res := newResult(k, n, scr)
 	nullFreqs, freqs := res.NullFreqs, res.Freqs
-	var counts []float64
-	plan, sq := &estepPlan{}, &squaremBufs{}
+	var (
+		counts []float64
+		plan   *estepPlan
+		sq     *squaremBufs
+	)
 	if scr != nil {
 		scr.counts = growFloats(scr.counts, len(freqs))
 		counts = scr.counts
 		plan, sq = &scr.plan, &scr.sq
 	} else {
 		counts = make([]float64, len(freqs))
+		plan, sq = &estepPlan{}, &squaremBufs{}
 	}
 	plan.build(groups, k)
-
-	h0Freqs(p2, nullFreqs)
-	res.NullLogLik = plan.logLik(nullFreqs)
+	res.plan = plan
 
 	// EM from the H0 point: plain EM steps first, then, for a call
 	// still short of Tol, SQUAREM cycles whose likelihood guard keeps
-	// the ascent monotone, so LL1 >= LL0 and hence LRT >= 0, the
-	// invariant the GA's fitness relies on.
+	// the ascent monotone, so LL1 >= LL0 and the report's LRT is
+	// non-negative.
+	h0Freqs(p2, nullFreqs)
 	copy(freqs, nullFreqs)
 	res.Iterations, res.Converged = plainEM(plan, n, freqs, counts, cfg.Tol, min(squaremAfter, cfg.MaxIter))
 	if !res.Converged && res.Iterations < cfg.MaxIter {
 		res.Iterations, res.Converged = squarem(plan, n, freqs, counts, cfg, res.Iterations, sq)
 	}
-	res.LogLik = plan.logLik(freqs)
 	return res
 }
 

@@ -147,7 +147,7 @@ func TestLRTNonNegativeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return res.LRT() >= 0 && res.LogLik <= 0 && res.NullLogLik <= res.LogLik+1e-9
+		return res.LRT() >= 0 && res.LogLik() <= 0 && res.NullLogLik() <= res.LogLik()+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ func TestLogLikCorpus(t *testing.T) {
 			name string
 			ll   float64
 			f    []float64
-		}{{"H0", res.NullLogLik, res.NullFreqs}, {"final", res.LogLik, res.Freqs}} {
+		}{{"H0", res.NullLogLik(), res.NullFreqs}, {"final", res.LogLik(), res.Freqs}} {
 			ref := sumLogLik(c.groups, pt.f, patternProb)
 			rel := math.Abs(pt.ll-ref) / math.Abs(ref)
 			worst = max(worst, rel)

@@ -38,9 +38,9 @@ func requireIdentical(t *testing.T, tag string, packed, byte_ *Result) {
 	if packed.K != byte_.K || packed.N != byte_.N {
 		t.Fatalf("%s: K/N mismatch: packed %d/%d, byte %d/%d", tag, packed.K, packed.N, byte_.K, byte_.N)
 	}
-	if packed.LogLik != byte_.LogLik || packed.NullLogLik != byte_.NullLogLik {
+	if packed.LogLik() != byte_.LogLik() || packed.NullLogLik() != byte_.NullLogLik() {
 		t.Fatalf("%s: loglik mismatch: packed (%v,%v), byte (%v,%v)",
-			tag, packed.LogLik, packed.NullLogLik, byte_.LogLik, byte_.NullLogLik)
+			tag, packed.LogLik(), packed.NullLogLik(), byte_.LogLik(), byte_.NullLogLik())
 	}
 	if packed.Iterations != byte_.Iterations || packed.Converged != byte_.Converged {
 		t.Fatalf("%s: EM trajectory mismatch: packed %d/%v, byte %d/%v",

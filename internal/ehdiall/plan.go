@@ -157,12 +157,16 @@ func (pl *estepPlan) addOnes(f []float64, acc *llAcc) {
 // logLik returns the sample log-likelihood of the plan's patterns under
 // haplotype frequencies f. It adds the pattern probabilities in the
 // order eStep does, so it equals the log-likelihood an E-step at f
-// returns bit for bit.
+// returns bit for bit. It only reads pl: it runs on a copy with a
+// products buffer of its own, so a Result's log-likelihood methods may
+// run concurrently.
 func (pl *estepPlan) logLik(f []float64) float64 {
+	own := *pl
+	own.prod = make([]float64, len(pl.prod))
 	acc := newLLAcc()
 	pl.addOnes(f, &acc)
 	for _, m := range pl.multis {
-		acc.add(pl.total(m, f), m.count)
+		acc.add(own.total(m, f), m.count)
 	}
 	return acc.value()
 }

@@ -74,21 +74,17 @@ func countTable(a, b genotype.PackedColumn, mask genotype.PlaneMask) (genoTable,
 }
 
 // estimateTwoLocus is the k = 2 counterpart of estimateCore: the H0
-// frequencies from the table's allele tallies, the exact maximum, and
-// both log-likelihoods over the nine cells. scr works as there.
+// frequencies from the table's allele tallies and the exact maximum.
+// The Result keeps the table's cells for its log-likelihood methods.
+// scr works as there.
 func estimateTwoLocus(t *genoTable, scr *Scratch) *Result {
 	var s twoLocus
 	s.init(t)
 	res := newResult(2, s.n, scr)
 	p2 := [2]float64{s.pA, s.pB}
 	h0Freqs(p2[:], res.NullFreqs)
-	x, ll := s.maximum()
-	s.freqsAt(x, res.Freqs)
-	if math.IsNaN(ll) {
-		res.NullLogLik, res.LogLik = s.logLiks(res.NullFreqs, res.Freqs)
-	} else {
-		res.NullLogLik, res.LogLik = s.logLik(res.NullFreqs), ll
-	}
+	s.freqsAt(s.maximum(), res.Freqs)
+	res.cells = s.cells
 	res.Converged = true
 	return res
 }
@@ -102,9 +98,8 @@ func estimateTwoLocus(t *genoTable, scr *Scratch) *Result {
 func TwoLocusFreqs(table *[3][3]int) [4]float64 {
 	var s twoLocus
 	s.init((*genoTable)(table))
-	x, _ := s.maximum()
 	var f [4]float64
-	s.freqsAt(x, f[:])
+	s.freqsAt(s.maximum(), f[:])
 	return f
 }
 
@@ -115,7 +110,7 @@ func TwoLocusFreqs(table *[3][3]int) [4]float64 {
 // phase-known haplotypes; h3 counts the phase-known copies of
 // haplotype 3 (allele 2 at both SNPs), dh the double heterozygotes.
 type twoLocus struct {
-	cells  [9]float64 // the table's counts, row-major
+	cells  tableCells
 	n      int
 	n2     float64 // 2n
 	pA, pB float64
@@ -183,37 +178,23 @@ func (s *twoLocus) freqsAt(x float64, f []float64) {
 	f[0], f[1], f[2], f[3] = s.e+x, s.pA-x, s.pB-x, x
 }
 
-// logLik is the sample log-likelihood of the table under haplotype
-// frequencies f.
-func (s *twoLocus) logLik(f []float64) float64 {
-	ll, _ := s.logLiks(f, f)
-	return ll
-}
+// tableCells is a genotype table's counts as floats, row-major.
+type tableCells [9]float64
 
-// logLiks returns the sample log-likelihoods of the table under two
-// sets of haplotype frequencies, f and g, each from the nine cells
-// added in table order to its own llAcc. A cell's probability is the
-// EM's pattern probability, the expression estepPlan forms: f(x)·f(y)
-// for a homozygote, times 2 for a single heterozygote, and
-// 2(f1·f2 + f0·f3) for the double heterozygote. The two sums share one
-// pass: a cell's count decides the path for both, and both powers are
-// in flight at once. An empty cell multiplies by p^0 = 1, exactly.
-func (s *twoLocus) logLiks(f, g []float64) (float64, float64) {
-	var pf, pg [9]float64
-	cellProbs(f, &pf)
-	cellProbs(g, &pg)
-	af, ag := newLLAcc(), newLLAcc()
-	for i, c := range &s.cells {
-		a, b := pf[i], pg[i]
-		if c <= llMulMax && a >= llSplit && b >= llSplit {
-			af.mul(powSmall(a, c))
-			ag.mul(powSmall(b, c))
-			continue
-		}
-		af.add(a, c)
-		ag.add(b, c)
+// logLik is the sample log-likelihood of the table under haplotype
+// frequencies f, the nine cells added in table order to one llAcc. A
+// cell's probability is the EM's pattern probability, the expression
+// estepPlan forms: f(x)·f(y) for a homozygote, times 2 for a single
+// heterozygote, and 2(f1·f2 + f0·f3) for the double heterozygote. An
+// empty cell multiplies by p^0 = 1, exactly.
+func (t *tableCells) logLik(f []float64) float64 {
+	var p [9]float64
+	cellProbs(f, &p)
+	acc := newLLAcc()
+	for i, c := range t {
+		acc.add(p[i], c)
 	}
-	return af.value(), ag.value()
+	return acc.value()
 }
 
 // cellProbs writes the nine cell probabilities under haplotype
@@ -249,8 +230,7 @@ func (s *twoLocus) g(x float64) (gx, dg, d2g float64) {
 	return gx, dg, d2g
 }
 
-// maximum returns the maximum-likelihood x and, when it compared
-// candidates, the log-likelihood there (NaN otherwise). Without double
+// maximum returns the maximum-likelihood x. Without double
 // heterozygotes x is h3/2n. Otherwise g's critical points split
 // [lo, hi] into pieces on which g is monotone; the candidates are the
 // points where g rises through zero (an end where g is 0 and rises
@@ -260,12 +240,12 @@ func (s *twoLocus) g(x float64) (gx, dg, d2g float64) {
 // ends are taken exactly: g's sign there is known from the integer
 // tallies, and an end where a haplotype with phase-known copies has
 // frequency 0 has likelihood 0.
-func (s *twoLocus) maximum() (float64, float64) {
+func (s *twoLocus) maximum() float64 {
 	if s.lo == s.hi {
-		return s.lo, math.NaN()
+		return s.lo
 	}
 	if s.dh == 0 {
-		return min(max(s.h3/s.n2, s.lo), s.hi), math.NaN()
+		return min(max(s.h3/s.n2, s.lo), s.hi)
 	}
 	var pts, sg [4]float64
 	np := 0
@@ -314,17 +294,17 @@ func (s *twoLocus) maximum() (float64, float64) {
 		nc++
 	}
 	if nc == 1 {
-		return cands[0], math.NaN()
+		return cands[0]
 	}
 	var f [4]float64
 	best, bestLL := math.NaN(), math.Inf(-1)
 	for _, x := range cands[:nc] {
 		s.freqsAt(x, f[:])
-		if ll := s.logLik(f[:]); ll > bestLL {
+		if ll := s.cells.logLik(f[:]); ll > bestLL {
 			best, bestLL = x, ll
 		}
 	}
-	return best, bestLL
+	return best
 }
 
 // criticalPoints returns the roots of g', in ascending order, from g's

@@ -137,8 +137,8 @@ func diffDetails(a, b *Details) string {
 			return fmt.Sprintf("%s: N/K/Iterations/Converged %d/%d/%d/%v vs %d/%d/%d/%v",
 				g.name, x.N, x.K, x.Iterations, x.Converged, y.N, y.K, y.Iterations, y.Converged)
 		}
-		if !same(x.LogLik, y.LogLik) || !same(x.NullLogLik, y.NullLogLik) {
-			return fmt.Sprintf("%s: LogLik/NullLogLik %v/%v vs %v/%v", g.name, x.LogLik, x.NullLogLik, y.LogLik, y.NullLogLik)
+		if !same(x.LogLik(), y.LogLik()) || !same(x.NullLogLik(), y.NullLogLik()) {
+			return fmt.Sprintf("%s: LogLik/NullLogLik %v/%v vs %v/%v", g.name, x.LogLik(), x.NullLogLik(), y.LogLik(), y.NullLogLik())
 		}
 		if len(x.Freqs) != len(y.Freqs) {
 			return fmt.Sprintf("%s: %d vs %d Freqs", g.name, len(x.Freqs), len(y.Freqs))

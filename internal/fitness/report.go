@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/ehdiall"
 	"repro/internal/stats"
 )
 
@@ -27,23 +28,13 @@ func (p *Pipeline) WriteReport(w io.Writer, names []string, sites []int) error {
 	fmt.Fprintf(w, "  group       N    logLik(H1)   logLik(H0)   LRT      df  p-value\n")
 	for _, g := range []struct {
 		name string
-		res  interface {
-			LRT() float64
-			DF() int
-			PValue() float64
-		}
-		n          int
-		ll1, ll0   float64
-		iterations int
-		converged  bool
-	}{
-		{"affected", det.Affected, det.Affected.N, det.Affected.LogLik, det.Affected.NullLogLik, det.Affected.Iterations, det.Affected.Converged},
-		{"unaffected", det.Unaffected, det.Unaffected.N, det.Unaffected.LogLik, det.Unaffected.NullLogLik, det.Unaffected.Iterations, det.Unaffected.Converged},
-	} {
+		res  *ehdiall.Result
+	}{{"affected", det.Affected}, {"unaffected", det.Unaffected}} {
+		r := g.res
 		fmt.Fprintf(w, "  %-10s %4d  %11.3f  %11.3f  %7.3f  %2d  %.4g",
-			g.name, g.n, g.ll1, g.ll0, g.res.LRT(), g.res.DF(), g.res.PValue())
-		if !g.converged {
-			fmt.Fprintf(w, "  (EM not converged after %d EM steps)", g.iterations)
+			g.name, r.N, r.LogLik(), r.NullLogLik(), r.LRT(), r.DF(), r.PValue())
+		if !r.Converged {
+			fmt.Fprintf(w, "  (EM not converged after %d EM steps)", r.Iterations)
 		}
 		fmt.Fprintln(w)
 	}

@@ -29,13 +29,17 @@ type Evaluator struct {
 // NewEvaluator builds the shard-aware evaluator for the dataset served
 // by src. The row partition (affected/unaffected) comes from the
 // dataset, exactly as fitness.NewPipeline derives it; Unknown-status
-// individuals are ignored.
+// individuals are ignored. src's plan must describe d: its parent
+// fingerprint is checked against d's, except for a source this
+// package built from d itself, whose plan was made from d's.
 func NewEvaluator(src Source, d *genotype.Dataset, stat clump.Statistic, em ehdiall.Config) (*Evaluator, error) {
 	if src == nil || d == nil {
 		return nil, fmt.Errorf("shard: nil source or dataset")
 	}
 	plan := src.Plan()
-	if plan.Parent != d.Fingerprint() || plan.NumSNPs != d.NumSNPs() || plan.Rows != d.NumIndividuals() {
+	own, _ := src.(interface{ dataset() *genotype.Dataset })
+	if plan.NumSNPs != d.NumSNPs() || plan.Rows != d.NumIndividuals() ||
+		(own == nil || own.dataset() != d) && plan.Parent != d.Fingerprint() {
 		return nil, fmt.Errorf("shard: source plan does not describe this dataset")
 	}
 	e := &Evaluator{src: src, plan: plan}

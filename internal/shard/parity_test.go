@@ -9,6 +9,7 @@ import (
 	"repro/internal/ehdiall"
 	"repro/internal/engine"
 	"repro/internal/fitness"
+	"repro/internal/genotype"
 )
 
 // windowsUpTo enumerates every strictly increasing site set of width 2
@@ -137,6 +138,40 @@ func TestEvaluatorRejectsBadSites(t *testing.T) {
 	for _, bad := range [][]int{nil, {}, {3, 3}, {5, 4}, {-1, 2}, {0, 20}, make([]int, ehdiall.MaxSNPs+1)} {
 		if _, err := ev.Evaluate(bad); err == nil {
 			t.Fatalf("Evaluate(%v) succeeded", bad)
+		}
+	}
+}
+
+// TestEvaluatorChecksSourceDataset: NewEvaluator takes a source this
+// package built from the very dataset it is given without hashing the
+// table again, and still tells any other dataset apart. A source over a
+// second dataset of the same dimensions but one different genotype is
+// rejected; one over an equal copy of the dataset is accepted, by its
+// fingerprint.
+func TestEvaluatorChecksSourceDataset(t *testing.T) {
+	d := testDataset(t, 20)
+	same := testDataset(t, 20)
+	other := testDataset(t, 20)
+	g := &other.Individuals[0].Genotypes[0]
+	*g = (*g + 1) % 3
+	for name, open := range map[string]func(*genotype.Dataset) (Source, error){
+		"mem":   func(x *genotype.Dataset) (Source, error) { return NewMem(x, 8, 0) },
+		"spill": func(x *genotype.Dataset) (Source, error) { return NewSpill(x, t.TempDir(), 8, 0) },
+	} {
+		for _, c := range []struct {
+			what string
+			data *genotype.Dataset
+			ok   bool
+		}{{"own", d, true}, {"copy", same, true}, {"other", other, false}} {
+			src, err := open(c.data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = NewEvaluator(src, d, clump.T1, ehdiall.Config{})
+			src.Close()
+			if (err == nil) != c.ok {
+				t.Fatalf("%s source over the %s dataset: NewEvaluator error %v, want ok %v", name, c.what, err, c.ok)
+			}
 		}
 	}
 }

@@ -359,6 +359,57 @@ func TestSpillBadFilesAreRewritten(t *testing.T) {
 	}
 }
 
+// TestSpillRemovesLegacyFiles: opening a spill directory removes the
+// files of the older naming, which no build reads (manifest.json and
+// shard-NNNNNN.bin), and leaves current shard-<start>-<end>.bin files,
+// temp files of either naming (another source may be writing one) and
+// unrelated files alone.
+func TestSpillRemovesLegacyFiles(t *testing.T) {
+	d := testDataset(t, 20)
+	dir := t.TempDir()
+	src, err := NewSpill(d, dir, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Shard(0); err != nil {
+		t.Fatal(err)
+	}
+	current := spillPath(dir, src.Plan().Metas[0])
+	src.Close()
+	image, err := os.ReadFile(current)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := map[string]bool{
+		"manifest.json":            false,
+		"shard-000000.bin":         false,
+		"shard-000001.bin":         false,
+		"shard-0-8.bin.tmp123":     true,
+		"shard-000002.bin.tmp4242": true,
+		"notes.txt":                true,
+	}
+	for name := range kept {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src2, err := NewSpill(d, dir, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src2.Close()
+	for name, keep := range kept {
+		_, err := os.Stat(filepath.Join(dir, name))
+		if exists := err == nil; exists != keep {
+			t.Errorf("%s: exists %v after opening, want %v (stat error %v)", name, exists, keep, err)
+		}
+	}
+	if got, err := os.ReadFile(current); err != nil || !bytes.Equal(got, image) {
+		t.Fatalf("current spill file changed on opening (error %v)", err)
+	}
+	columnsEqual(t, "after cleanup", d, src2)
+}
+
 // TestSpillSourcesShareDirectory: two sources over one directory (as
 // two sessions of one dataset in ldserve) first-touch every shard at
 // once from several goroutines each. Their writers must not clobber

@@ -37,6 +37,9 @@ type lruSource struct {
 	plan Plan
 	cap  int
 	load func(i int) (*Shard, error)
+	// data is the dataset the plan was made from (PlanFor), which the
+	// load function reads.
+	data *genotype.Dataset
 
 	mu      sync.Mutex
 	entries map[int]*lruEntry
@@ -52,7 +55,7 @@ type lruEntry struct {
 	elem  *list.Element // nil until loaded
 }
 
-func newLRUSource(plan Plan, hot int, load func(i int) (*Shard, error)) *lruSource {
+func newLRUSource(plan Plan, hot int, data *genotype.Dataset, load func(i int) (*Shard, error)) *lruSource {
 	if hot <= 0 {
 		hot = DefaultHotShards
 	}
@@ -60,12 +63,17 @@ func newLRUSource(plan Plan, hot int, load func(i int) (*Shard, error)) *lruSour
 		plan:    plan,
 		cap:     hot,
 		load:    load,
+		data:    data,
 		entries: make(map[int]*lruEntry),
 		order:   list.New(),
 	}
 }
 
 func (s *lruSource) Plan() Plan { return s.plan }
+
+// dataset returns the dataset whose fingerprint the plan holds, so a
+// caller holding that very dataset need not hash it again.
+func (s *lruSource) dataset() *genotype.Dataset { return s.data }
 
 func (s *lruSource) Shard(i int) (*Shard, error) {
 	if i < 0 || i >= s.plan.NumShards() {
@@ -138,7 +146,7 @@ func NewMem(d *genotype.Dataset, shardSize, hot int) (Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newLRUSource(plan, hot, func(i int) (*Shard, error) {
+	return newLRUSource(plan, hot, d, func(i int) (*Shard, error) {
 		return buildShard(d, plan.Metas[i]), nil
 	}), nil
 }

@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/genotype"
 )
@@ -54,12 +55,11 @@ func spillPath(dir string, m Meta) string {
 
 // spillSource spills shards to write-once files on first use and
 // re-reads them on LRU misses, keeping only the hot set resident. It
-// retains the dataset solely to (re)write missing or stale files; all
-// steady-state traffic is served from disk + LRU.
+// reads the dataset (lruSource.data) solely to (re)write missing or
+// stale files; all steady-state traffic is served from disk + LRU.
 type spillSource struct {
 	*lruSource
-	dir  string
-	data *genotype.Dataset
+	dir string
 }
 
 // NewSpill builds a Source over a spill directory (created if needed):
@@ -68,7 +68,11 @@ type spillSource struct {
 // reusing the directory) are served by reading the file back. Files
 // that do not match the plan or fail their CRC (a different dataset
 // spilled here before, an older build's format, a torn write) are
-// rewritten. hot sizes the resident LRU (0 = DefaultHotShards).
+// rewritten. Files of the older naming that no build reads any more,
+// manifest.json and shard-NNNNNN.bin, are removed on opening; temp
+// files (*.tmp*) are left alone, as another source over the same
+// directory may be writing one. hot sizes the resident LRU (0 =
+// DefaultHotShards).
 func NewSpill(d *genotype.Dataset, dir string, shardSize, hot int) (Source, error) {
 	plan, err := PlanFor(d, shardSize)
 	if err != nil {
@@ -80,9 +84,35 @@ func NewSpill(d *genotype.Dataset, dir string, shardSize, hot int) (Source, erro
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("shard: spill dir: %w", err)
 	}
-	s := &spillSource{dir: dir, data: d}
-	s.lruSource = newLRUSource(plan, hot, s.loadShard)
+	if err := removeLegacySpill(dir); err != nil {
+		return nil, fmt.Errorf("shard: spill dir: %w", err)
+	}
+	s := &spillSource{dir: dir}
+	s.lruSource = newLRUSource(plan, hot, d, s.loadShard)
 	return s, nil
+}
+
+// removeLegacySpill deletes the files of the older spill naming from
+// dir: manifest.json and shard-NNNNNN.bin, named by shard index alone.
+func removeLegacySpill(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		name := e.Name()
+		index, ok := strings.CutPrefix(name, "shard-")
+		index, bin := strings.CutSuffix(index, ".bin")
+		legacy := name == "manifest.json" ||
+			ok && bin && index != "" && strings.Trim(index, "0123456789") == ""
+		if !legacy || !e.Type().IsRegular() {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+	}
+	return nil
 }
 
 // loadShard reads shard i's spill file, writing it first if absent or

@@ -197,19 +197,27 @@ type SweepResult struct {
 
 // windowsOf enumerates the windows anchored in shard m: site sets
 // {s, s+1, …, s+size-1} for every global anchor s inside [Start, End)
-// with the whole window in range.
+// with the whole window in range. The windows share one backing array,
+// each capped at its own length, so an append to one cannot write into
+// the next.
 func windowsOf(m Meta, plan Plan, cfg SweepConfig) [][]int {
-	var out [][]int
 	first := m.Start
 	if rem := first % cfg.Stride; rem != 0 {
 		first += cfg.Stride - rem
 	}
-	for s := first; s < m.End && s+cfg.Size <= plan.NumSNPs; s += cfg.Stride {
-		w := make([]int, cfg.Size)
+	last := min(m.End-1, plan.NumSNPs-cfg.Size)
+	if last < first {
+		return nil
+	}
+	n := (last-first)/cfg.Stride + 1
+	out := make([][]int, n)
+	sites := make([]int, n*cfg.Size)
+	for j := range out {
+		w := sites[j*cfg.Size : (j+1)*cfg.Size : (j+1)*cfg.Size]
 		for i := range w {
-			w[i] = s + i
+			w[i] = first + j*cfg.Stride + i
 		}
-		out = append(out, w)
+		out[j] = w
 	}
 	return out
 }
@@ -275,7 +283,8 @@ func RunSweep(ctx context.Context, ev fitness.Evaluator, plan Plan, cfg SweepCon
 		windows := windowsOf(m, plan, cfg)
 		values, errs := fitness.EvaluateAllContext(ctx, ev, windows)
 		sr := ShardResult{Shard: m.Index, Windows: len(windows), Fitness: math.Inf(-1)}
-		for i, w := range windows {
+		best := -1
+		for i := range windows {
 			if err := errs[i]; err != nil {
 				if errors.Is(err, fitness.ErrEmptyGroup) {
 					sr.Errored++
@@ -284,15 +293,19 @@ func RunSweep(ctx context.Context, ev fitness.Evaluator, plan Plan, cfg SweepCon
 				runErr = err
 				break
 			}
-			if sr.Best == nil || values[i] > sr.Fitness {
-				sr.Best, sr.Fitness = w, values[i]
+			if best < 0 || values[i] > sr.Fitness {
+				best, sr.Fitness = i, values[i]
 			}
 		}
 		if runErr != nil {
 			break
 		}
-		if sr.Best == nil {
+		if best < 0 {
 			sr.Fitness = 0
+		} else {
+			// A copy, so the result does not pin the shard's windows.
+			sr.Best = make([]int, cfg.Size)
+			copy(sr.Best, windows[best])
 		}
 		done[m.Index] = sr
 		cp.Completed = append(cp.Completed, sr)

@@ -109,6 +109,52 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 		if res.Evaluated != int64(wantN) {
 			t.Fatalf("cfg %+v: evaluated %d, want %d", cfg, res.Evaluated, wantN)
 		}
+		// Each shard's best window is its own copy, not a view of the
+		// shard's window array.
+		for _, sr := range res.PerShard {
+			if size := cfg.withDefaults().Size; sr.Best != nil && cap(sr.Best) != size {
+				t.Fatalf("cfg %+v: shard %d best has cap %d, want %d", cfg, sr.Shard, cap(sr.Best), size)
+			}
+		}
+	}
+}
+
+// TestWindowsOf checks windowsOf against a window-by-window enumeration
+// on every shard of a few plans and strides, and bounds its allocations
+// at two per shard, the window headers and one array of sites.
+func TestWindowsOf(t *testing.T) {
+	for _, cfg := range []SweepConfig{{Size: 2, Stride: 1}, {Size: 3, Stride: 2}, {Size: 5, Stride: 3}, {Size: 9, Stride: 1}} {
+		for _, shardSize := range []int{4, 8, 64} {
+			plan, err := NewPlan(1, 30, 10, shardSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range plan.Metas {
+				var want [][]int
+				for s := m.Start; s < m.End && s+cfg.Size <= plan.NumSNPs; s++ {
+					if s%cfg.Stride != 0 {
+						continue
+					}
+					w := make([]int, cfg.Size)
+					for i := range w {
+						w[i] = s + i
+					}
+					want = append(want, w)
+				}
+				got := windowsOf(m, plan, cfg)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("cfg %+v shard %v: windows %v, want %v", cfg, m, got, want)
+				}
+				for _, w := range got {
+					if cap(w) != cfg.Size {
+						t.Fatalf("cfg %+v shard %v: window cap %d, want %d", cfg, m, cap(w), cfg.Size)
+					}
+				}
+				if allocs := testing.AllocsPerRun(10, func() { windowsOf(m, plan, cfg) }); allocs > 2 {
+					t.Fatalf("cfg %+v shard %v: windowsOf allocates %.0f, want at most 2", cfg, m, allocs)
+				}
+			}
+		}
 	}
 }
 

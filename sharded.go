@@ -67,8 +67,9 @@ func NewShardedEngine(d *Dataset, stat Statistic, shardSize int, spillDir string
 		src.Close()
 		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
-	// The plan already holds the dataset's fingerprint (NewEvaluator
-	// checked it against d), so the genotypes are not hashed again.
+	// The plan already holds the dataset's fingerprint (the source
+	// hashed d for it, and NewEvaluator trusts a source built from d),
+	// so the genotypes are hashed once.
 	eng, err := engine.New(ev, engine.Options{Workers: workers, Fingerprint: src.Plan().Parent})
 	if err != nil {
 		src.Close()
