@@ -88,11 +88,13 @@ type Result struct {
 	// frequencies under H0 (no association).
 	NullFreqs []float64
 	// Iterations is the number of E-steps performed, those inside
-	// extrapolation cycles included; Converged reports whether a plain
-	// EM step met the tolerance within MaxIter E-steps. A k = 2 call
-	// is solved exactly, with Iterations 0 and Converged true.
+	// extrapolation cycles included. A k = 2 call is solved exactly,
+	// with Iterations 0.
 	Iterations int
-	Converged  bool
+	// Converged reports whether a plain EM step met the tolerance
+	// within MaxIter E-steps. A k = 2 call, solved exactly, is always
+	// converged.
+	Converged bool
 
 	// What the log-likelihood methods form their values from, so that
 	// an estimation forms none: a k = 2 call's genotype table, any

@@ -12,7 +12,8 @@ import (
 // worker owns a fitness.Scratch for its lifetime), and the batch
 // bookkeeping allocates per batch, not per candidate: the result
 // slices, one table of distinct sets, the batch index, the key arena
-// and the dedupe table. A warm batch must not regress to a per-key
+// and the dedupe table. A hit is one probe of the cache's slot table,
+// which allocates nothing. A warm batch must not regress to a per-key
 // string or map entry, let alone to per-evaluation table construction
 // (hundreds of allocations each).
 func TestBatchAllocBound(t *testing.T) {
@@ -60,10 +61,11 @@ func TestBatchAllocBound(t *testing.T) {
 	t.Logf("warm batch path: %.2f allocations/candidate", perCandidate)
 	// Measured 0.11/candidate on linux/amd64: the batch's 7 allocations
 	// over 64 candidates, with no key string (cache lookups read the
-	// key arena) and no map entry (dedupe probes its own table). One
-	// allocation per candidate anywhere on the path crosses 0.5.
-	if perCandidate > 0.5 {
-		t.Errorf("warm batch path allocates %.2f/candidate (%.0f/batch), want <= 0.5", perCandidate, perBatch)
+	// key arena) and no map entry (dedupe probes its own table). Five
+	// more allocations per batch, or one per candidate anywhere on the
+	// path, cross 0.2.
+	if perCandidate > 0.2 {
+		t.Errorf("warm batch path allocates %.2f/candidate (%.0f/batch), want <= 0.2", perCandidate, perBatch)
 	}
 }
 
@@ -71,8 +73,9 @@ func TestBatchAllocBound(t *testing.T) {
 // the cold path TestBatchAllocBound does not reach: every candidate is
 // a leader miss that is queued, claimed by a worker, computed and
 // published. The kernel allocates nothing (the worker's Scratch); what
-// remains is the batch bookkeeping plus the growth of the cache maps,
-// and the dispatch itself must add nothing per candidate.
+// remains is the batch bookkeeping plus the growth of the cache
+// shards' tables, and the dispatch itself must add nothing per
+// candidate.
 func TestColdBatchAllocBound(t *testing.T) {
 	d, err := popgen.Generate(popgen.Config{
 		NumSNPs: 400, NumAffected: 25, NumUnaffected: 25,
@@ -119,13 +122,16 @@ func TestColdBatchAllocBound(t *testing.T) {
 	}
 	perCandidate := perBatch / batchSize
 	t.Logf("cold batch path: %.2f allocations/candidate", perCandidate)
-	// Measured 0.6/candidate on linux/amd64, nearly all of it the
-	// growth of the 64 cache shard maps; the rest is per batch: the
-	// warm path's tables, one string holding every missed key, the job
-	// and its done latch. A flight nobody follows has no channel. A
-	// per-candidate allocation (a key string, channel, flight record
-	// or job of its own) crosses 1.
-	if perCandidate > 1 {
-		t.Errorf("cold batch path allocates %.2f/candidate (%.0f/batch), want <= 1", perCandidate, perBatch)
+	// Measured 0.58/candidate on linux/amd64. Most of it is the growth
+	// of the 64 cache shards as their first ~21 keys each arrive: the
+	// slot table and arena made at a shard's first key, one table
+	// doubling, one arena doubling, and the flight table and its free
+	// list growing to the shard's most keys in flight at once. The
+	// rest is per batch: the warm path's tables, the job and its done
+	// latch. A key copies into its shard's arena, and a flight nobody
+	// follows has no channel. A per-candidate allocation (a key string,
+	// channel, flight record or job of its own) crosses 0.75.
+	if perCandidate > 0.75 {
+		t.Errorf("cold batch path allocates %.2f/candidate (%.0f/batch), want <= 0.75", perCandidate, perBatch)
 	}
 }

@@ -61,3 +61,43 @@ func BenchmarkEngineColdBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEngineWarmBatch measures what the engine costs per cached
+// candidate: the same batch of distinct pairs scored again and again,
+// so every item is a cache hit answered by the caller (keying, dedupe
+// and one cache lookup) and no worker runs. GA and serve traffic is
+// mostly hits. It reports ns/item and allocs/item.
+func BenchmarkEngineWarmBatch(b *testing.B) {
+	for _, size := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			batch := make([][]int, size)
+			for i := range batch {
+				batch[i] = []int{i, i + 1}
+			}
+			e, err := New(&countingEval{}, Options{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			if _, errs := e.EvaluateBatch(batch); errs[0] != nil {
+				b.Fatal(errs[0])
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if _, errs := e.EvaluateBatch(batch); errs[0] != nil {
+					b.Fatal(errs[0])
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			if r := e.Report(); r.Computed != int64(size) {
+				b.Fatalf("computed %d sets, want %d: the timed batches must be pure hits", r.Computed, size)
+			}
+			items := float64(b.N) * float64(size)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/items, "ns/item")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/items, "allocs/item")
+		})
+	}
+}

@@ -34,11 +34,12 @@
 // batches interleave item by item and a large batch cannot starve a
 // small one; a job whose queued items are all claimed leaves the queue
 // until its batch extends it again. The worker that computes an item
-// publishes it itself: the flight's outcome, the cache entry and the
-// flight's removal from the in-flight table (one critical section on
-// the key's cache shard), and the wake-up of the batches following
-// that key. A flight's wake-up signal is a channel made by its first
-// follower, so a flight nobody follows costs none. A cancelled batch
+// publishes it itself: the flight's outcome, then the key's cache slot
+// (one critical section on the key's cache shard: the value replaces
+// the flight, or on an error the slot is removed, so errors are never
+// cached), and the wake-up of the batches following that key. A
+// flight's wake-up signal is a channel made by its first follower, so
+// a flight nobody follows costs none. A cancelled batch
 // stops keying at the next chunk (the items not yet keyed report the
 // context's error) and withdraws its unclaimed items, which resolve
 // with the context's error; a claimed item checks the context before
@@ -48,12 +49,30 @@
 //
 // The batch path allocates per batch, not per candidate. Every
 // distinct key is written once into one byte arena; duplicates are
-// found by an open-addressing table over the arena; cache lookups read
-// the arena bytes without converting them. Only the keys that missed
-// the cache are copied, into one string per chunk that the in-flight
-// entry and the cached value share, so a cache entry pins no hit's
-// bytes. Cache hits are answered by the caller, never handed to a
-// worker.
+// found by an open-addressing table over the arena. Each distinct key
+// then takes one cache lookup, which reads the arena bytes and settles
+// the key under its shard lock: a hit, a follower of the flight that
+// is computing it, or a new key, which the batch leads. Cache hits are
+// answered by the caller, never handed to a worker.
+//
+// # Cache table
+//
+// The memo cache and the in-flight state are one table per cache
+// shard: power-of-two slots probed linearly from bits of the key's
+// hash above the shard's, and an append-only byte arena holding the
+// shard's keys. A slot is 24 bytes and holds no pointer: the key's
+// hash tag, its offset and length in the arena, and one word that is
+// the value's bits once published, or, while the key is computed, the
+// index of its flight in the shard's small flight table. A lookup that
+// leads inserts a pending slot and copies the key into the shard's
+// arena, so a cache entry pins no batch's bytes and the collector
+// scans neither slots nor arena. Growth rehashes from the stored tags
+// without reading a key. A key whose flight ends in an error
+// (cancellation, ErrEmptyGroup) is removed by backward-shift deletion,
+// which leaves no tombstone; its bytes stay in the arena as dead bytes
+// until they outweigh the live ones, when the shard rebuilds its arena.
+// Report's CacheBytes counts the slot tables, arena capacity and
+// flight tables.
 //
 // # Cache-key canonicalization
 //

@@ -45,16 +45,16 @@ type KeyFingerprinter interface {
 
 // flight is one in-flight computation of a canonical key, shared by
 // every concurrent batch that misses on it (singleflight). The worker
-// that computes the key fills value/err, caches the value and removes
-// the flight from the in-flight table under the key's cache shard
-// lock, and then closes done. done exists only once a follower joins:
-// the first follower makes it under that lock, so a flight nobody
-// follows costs no channel. Followers read value and err only after
-// done is closed.
+// that computes the key fills value/err, publishes the outcome in the
+// key's cache slot under the key's cache shard lock, and then closes
+// done. done exists only once a follower joins: the first follower
+// makes it under that lock, so a flight nobody follows costs no
+// channel. Followers read value and err only after done is closed.
 type flight struct {
-	done  chan struct{} // guarded by the key's cache shard lock while the flight is in the table
+	done  chan struct{} // guarded by the key's cache shard lock while the flight is pending
 	value float64
 	err   error
+	idx   int32 // the flight's index in its cache shard's flight table; guarded like done
 }
 
 // unit is one distinct site set of a batch: what the caller keys and
@@ -66,10 +66,6 @@ type unit struct {
 	hash       uint64 // keyHash of the key
 	koff, kend int32  // the key's bytes in the batch's arena
 	how        uint8
-	// key is the cache and in-flight key, set once the set missed the
-	// cache: a substring of one string holding only the keys of the
-	// batch's misses, so a cache entry pins no hit's bytes.
-	key string
 	// flight holds the set's outcome. While the batch leads the set,
 	// it is also the key's flight, shared by followers in other
 	// batches.
@@ -312,13 +308,13 @@ func (e *Engine) dequeueLocked(q int) {
 	}
 }
 
-// publish resolves unit u of j: the flight's outcome, then the cache
-// entry for a value together with the flight's removal from the
-// in-flight table, and finally, if a follower joined, its wake-up. The
+// publish resolves unit u of j: the flight's outcome, then the key's
+// cache slot (the value in place of the flight, or the slot's removal
+// on an error), and finally, if a follower joined, its wake-up. The
 // job's last item closes its done latch.
 func (e *Engine) publish(j *runJob, u int32, v float64, err error) {
 	it := &j.units[u]
-	if done := e.cache.publish(it.hash, it.key, &it.flight, v, err); done != nil {
+	if done := e.cache.shard(it.hash).publish(it.hash, &it.flight, v, err); done != nil {
 		close(done)
 	}
 	j.resolve()
@@ -387,7 +383,7 @@ func (e *Engine) EvaluateBatchContext(ctx context.Context, batch [][]int) ([]flo
 			cut = lo
 			break
 		}
-		leaders := b.resolve(b.key(lo, min(lo+keyChunk, len(batch))))
+		leaders := b.key(lo, min(lo+keyChunk, len(batch)))
 		if len(leaders) > 0 {
 			if j == nil {
 				j = e.newJob(ctx, b.units)
@@ -404,7 +400,7 @@ func (e *Engine) EvaluateBatchContext(ctx context.Context, batch [][]int) ([]flo
 	// a retried set either hits the cache, resolves as a leader, or
 	// joins a strictly newer flight.
 	for len(b.followers) > 0 {
-		retry := b.misses[:0] // keying is over: reuse its scratch
+		retry := b.leaders[:0] // keying is over: reuse its scratch
 		for _, fw := range b.followers {
 			it := &b.units[fw.u]
 			select {
@@ -422,7 +418,7 @@ func (e *Engine) EvaluateBatchContext(ctx context.Context, batch [][]int) ([]flo
 		}
 		b.followers = b.followers[:0]
 		j = nil
-		if leaders := b.resolve(retry); len(leaders) > 0 {
+		if leaders := b.retry(retry); len(leaders) > 0 {
 			j = e.newJob(ctx, b.units)
 			e.extend(j, leaders)
 		}
@@ -473,7 +469,7 @@ func (e *Engine) finish(ctx context.Context, j *runJob) {
 }
 
 // follower is a unit of the batch waiting on another batch's flight.
-// The flight's done channel is set before lead returns it and never
+// The flight's done channel is set before lookup returns it and never
 // changes afterwards.
 type follower struct {
 	u int32
@@ -491,9 +487,8 @@ type batchKeys struct {
 	index []int32 // batch item -> unit
 	arena []byte
 	probe []int32 // dedupe table: unit+1, 0 = empty; len is a power of two
-	miss  []byte  // scratch: the chunk's miss keys, back to back
 
-	misses    []int32 // scratch: the chunk's cache misses, then its leaders
+	leaders   []int32 // scratch: the chunk's leaders, then the retried units
 	followers []follower
 }
 
@@ -514,11 +509,12 @@ func newBatchKeys(e *Engine, batch [][]int) *batchKeys {
 }
 
 // key keys batch items [lo, hi): canonical sites, key bytes, dedupe,
-// and a cache lookup for every new distinct set. It returns the new
-// sets that missed the cache, whose keys it copies into one string.
+// and one cache lookup for every new distinct set, which settles it as
+// a hit, a follower of another batch's flight, or a leader. It returns
+// the chunk's leaders.
 func (b *batchKeys) key(lo, hi int) []int32 {
 	e := b.e
-	misses := b.misses[:0]
+	leaders := b.leaders[:0]
 	for i := lo; i < hi; i++ {
 		sites := fitness.CanonicalSites(b.batch[i])
 		fp := e.fingerprint
@@ -537,27 +533,30 @@ func (b *batchKeys) key(lo, hi int) []int32 {
 		}
 		it := &b.units[u]
 		it.sites, it.hash, it.koff, it.kend = sites, h, int32(off), int32(len(b.arena))
-		if v, ok := e.cache.get(h, k); ok {
-			it.flight.value, it.how = v, howCached
-			continue
+		if b.settle(u) {
+			leaders = append(leaders, u)
 		}
-		misses = append(misses, u)
 	}
-	if len(misses) > 0 {
-		buf := b.miss[:0]
-		for _, u := range misses {
-			buf = append(buf, b.keyBytes(u)...)
-		}
-		all, off := string(buf), 0
-		for _, u := range misses {
-			it := &b.units[u]
-			n := int(it.kend - it.koff)
-			it.key, off = all[off:off+n], off+n
-		}
-		b.miss = buf
+	b.leaders = leaders
+	return leaders
+}
+
+// settle looks unit u up in the cache: a hit takes the value, a key in
+// flight makes u a follower of that flight, and a new key makes u its
+// leader, which settle reports.
+func (b *batchKeys) settle(u int32) bool {
+	it := &b.units[u]
+	f, v, hit := b.e.cache.shard(it.hash).lookup(it.hash, b.keyBytes(u), &it.flight)
+	switch {
+	case f != nil:
+		b.followers = append(b.followers, follower{u: u, f: f})
+		b.e.joins.Add(1)
+	case hit:
+		it.flight.value, it.how = v, howCached
+	default:
+		return true
 	}
-	b.misses = misses
-	return misses
+	return false
 }
 
 // keyBytes returns unit u's key in the arena.
@@ -584,25 +583,14 @@ func (b *batchKeys) dedupe(h uint64, k []byte) (int32, bool) {
 	}
 }
 
-// resolve settles units that missed the cache, filtering them in
-// place down to the ones this batch leads. A unit whose key is in
-// flight follows that flight; one a leader published between the
-// cache miss and the in-flight lookup is a late hit; the rest become
-// this batch's flights.
-func (b *batchKeys) resolve(misses []int32) []int32 {
-	e := b.e
-	leaders := misses[:0]
-	for _, u := range misses {
-		it := &b.units[u]
-		it.flight = flight{}
-		f, v, hit := e.cache.lead(it.hash, it.key, &it.flight)
-		switch {
-		case f != nil:
-			b.followers = append(b.followers, follower{u: u, f: f})
-			e.joins.Add(1)
-		case hit:
-			it.flight.value, it.how = v, howCached
-		default:
+// retry settles again the units whose followed flight a cancelled
+// batch ended, filtering them in place down to the ones this batch now
+// leads.
+func (b *batchKeys) retry(units []int32) []int32 {
+	leaders := units[:0]
+	for _, u := range units {
+		b.units[u].flight = flight{}
+		if b.settle(u) {
 			leaders = append(leaders, u)
 		}
 	}
@@ -617,12 +605,14 @@ func (e *Engine) Report() fitness.Report {
 		pw[i] = e.perWorker[i].Load()
 		computed += pw[i]
 	}
+	entries, cacheBytes := e.cache.size()
 	return fitness.Report{
 		Requests:     e.requests.Load(),
 		Computed:     computed,
 		CacheHits:    e.hits.Load(),
 		Coalesced:    e.coalesced.Load(),
-		CacheEntries: e.cache.len(),
+		CacheEntries: entries,
+		CacheBytes:   cacheBytes,
 		Workers:      e.workers,
 		PerWorker:    pw,
 		Uptime:       time.Since(e.start),

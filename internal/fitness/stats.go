@@ -37,6 +37,9 @@ type Report struct {
 	Coalesced int64 `json:"coalesced"`
 	// CacheEntries is the current number of memoized fitness values.
 	CacheEntries int `json:"cache_entries"`
+	// CacheBytes is the memory the memoizing cache holds: its tables,
+	// key bytes and in-flight bookkeeping.
+	CacheBytes int `json:"cache_bytes"`
 	// Workers is the size of the worker pool (0 for serial backends).
 	Workers int `json:"workers"`
 	// PerWorker splits Computed by the worker that performed it; its

@@ -84,6 +84,7 @@ func TestJobReportJSONRoundTrip(t *testing.T) {
 			CacheHits:    4096,
 			Coalesced:    5,
 			CacheEntries: 3828,
+			CacheBytes:   311296,
 			Workers:      2,
 			PerWorker:    []int64{1914, 1914},
 			Uptime:       2 * time.Second,
@@ -101,7 +102,7 @@ func TestJobReportJSONRoundTrip(t *testing.T) {
 func TestEngineReportJSONRoundTrip(t *testing.T) {
 	in := repro.EngineReport{
 		Requests: 10, Computed: 4, CacheHits: 5, Coalesced: 1,
-		CacheEntries: 4, Workers: 1, PerWorker: []int64{4},
+		CacheEntries: 4, CacheBytes: 656, Workers: 1, PerWorker: []int64{4},
 		Uptime: 1500 * time.Nanosecond,
 	}
 	if got := roundTrip(t, in); !reflect.DeepEqual(in, got) {
@@ -164,7 +165,7 @@ func TestWireFieldNamesStable(t *testing.T) {
 			"stagnation", "elapsed_ns"}},
 		{"EngineReport", repro.EngineReport{}, []string{
 			"requests", "computed", "cache_hits", "coalesced",
-			"cache_entries", "workers", "per_worker", "uptime_ns"}},
+			"cache_entries", "cache_bytes", "workers", "per_worker", "uptime_ns"}},
 		{"Haplotype", repro.Haplotype{}, []string{"sites", "fitness", "evaluated"}},
 		// TraceEntry.Island, GAResult.Islands and JobReport.Islands are
 		// omitempty: absent from synchronous payloads (checked above),

@@ -379,6 +379,7 @@ func (s *Session) raceEngineReport() (EngineReport, bool) {
 		sum.CacheHits += rep.CacheHits
 		sum.Coalesced += rep.Coalesced
 		sum.CacheEntries += rep.CacheEntries
+		sum.CacheBytes += rep.CacheBytes
 		sum.Workers += rep.Workers
 		sum.PerWorker = append(sum.PerWorker, rep.PerWorker...)
 		if rep.Uptime > sum.Uptime {

@@ -349,6 +349,8 @@ type EngineTotals struct {
 	Coalesced int64 `json:"coalesced"`
 	// CacheEntries sums the current memoized fitness values.
 	CacheEntries int `json:"cache_entries"`
+	// CacheBytes sums the memory the memoizing caches hold.
+	CacheBytes int `json:"cache_bytes"`
 	// StoreFailures counts record writes or deletes the durable store
 	// rejected with an I/O error — outcomes that may not survive a
 	// restart. Always 0 on the in-memory defaults; nonzero values

@@ -690,6 +690,7 @@ func (r *Registry) EngineTotals() EngineTotals {
 			t.CacheHits += rp.CacheHits
 			t.Coalesced += rp.Coalesced
 			t.CacheEntries += rp.CacheEntries
+			t.CacheBytes += rp.CacheBytes
 		}
 	}
 	return t
