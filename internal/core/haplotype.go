@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -50,16 +51,26 @@ func (h *Haplotype) Clone() *Haplotype {
 }
 
 // Key returns a canonical string identity of the SNP set, used for
-// duplicate rejection.
+// duplicate rejection: the sites in decimal, comma-separated.
 func (h *Haplotype) Key() string {
-	var b strings.Builder
+	var buf keyBuf
+	return string(h.appendKey(buf[:0]))
+}
+
+// keyBuf is stack room for a key: 64 bytes hold seven six-digit sites.
+// A map lookup by string(h.appendKey(buf[:0])) then allocates nothing;
+// only a key a map stores is copied to the heap.
+type keyBuf [64]byte
+
+// appendKey appends Key's text to dst.
+func (h *Haplotype) appendKey(dst []byte) []byte {
 	for i, s := range h.Sites {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		fmt.Fprintf(&b, "%d", s)
+		dst = strconv.AppendInt(dst, int64(s), 10)
 	}
-	return b.String()
+	return dst
 }
 
 // Contains reports whether the haplotype includes the SNP column s.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -26,6 +27,25 @@ func TestHaplotypeKeyAndEqualSets(t *testing.T) {
 	e := newHaplotype([]int{12, 3}, 0) // not sorted, but key must still differ
 	if d.Key() == e.Key() {
 		t.Fatal("key collision between {1,23} and {12,3}")
+	}
+}
+
+// TestHaplotypeKeyText: Key is the sites in decimal, comma-separated,
+// as fmt prints them, also past the stack buffer's 64 bytes.
+func TestHaplotypeKeyText(t *testing.T) {
+	for _, sites := range [][]int{
+		nil,
+		{0},
+		{7, 42, 999, 123456},
+		{1000000, 2000000, 3000000, 4000000, 5000000, 6000000, 7000000, 8000000, 9000000, 10000000},
+	} {
+		parts := make([]string, len(sites))
+		for i, s := range sites {
+			parts[i] = fmt.Sprintf("%d", s)
+		}
+		if got, want := newHaplotype(sites, 0).Key(), strings.Join(parts, ","); got != want {
+			t.Errorf("Key(%v) = %q, want %q", sites, got, want)
+		}
 	}
 }
 

@@ -230,11 +230,12 @@ func (p *Pop) Initialize(ctx context.Context) error {
 			if h == nil {
 				continue
 			}
-			key := h.Key()
-			if _, dup := seen[key]; dup {
+			var buf keyBuf
+			key := h.appendKey(buf[:0])
+			if _, dup := seen[string(key)]; dup {
 				continue
 			}
-			seen[key] = struct{}{}
+			seen[string(key)] = struct{}{}
 			pending = append(pending, h)
 			targets = append(targets, sp)
 		}

@@ -42,7 +42,8 @@ func (sp *subpop) worst() *Haplotype {
 
 // contains reports whether an identical SNP set is already a member.
 func (sp *subpop) contains(h *Haplotype) bool {
-	_, ok := sp.keys[h.Key()]
+	var buf keyBuf
+	_, ok := sp.keys[string(h.appendKey(buf[:0]))]
 	return ok
 }
 
@@ -54,8 +55,9 @@ func (sp *subpop) insert(h *Haplotype) bool {
 	if len(h.Sites) != sp.size || !h.Evaluated {
 		return false
 	}
-	key := h.Key()
-	if _, dup := sp.keys[key]; dup {
+	var buf, worstBuf keyBuf
+	key := h.appendKey(buf[:0])
+	if _, dup := sp.keys[string(key)]; dup {
 		return false
 	}
 	if len(sp.members) >= sp.capacity {
@@ -63,7 +65,7 @@ func (sp *subpop) insert(h *Haplotype) bool {
 		if h.Fitness <= w.Fitness {
 			return false
 		}
-		delete(sp.keys, w.Key())
+		delete(sp.keys, string(w.appendKey(worstBuf[:0])))
 		sp.members = sp.members[:len(sp.members)-1]
 	}
 	// Insert keeping descending fitness order.
@@ -73,7 +75,7 @@ func (sp *subpop) insert(h *Haplotype) bool {
 	sp.members = append(sp.members, nil)
 	copy(sp.members[i+1:], sp.members[i:])
 	sp.members[i] = h
-	sp.keys[key] = struct{}{}
+	sp.keys[string(key)] = struct{}{}
 	return true
 }
 
@@ -146,7 +148,8 @@ func (sp *subpop) remove(h *Haplotype) {
 	for i, m := range sp.members {
 		if m == h {
 			sp.members = append(sp.members[:i], sp.members[i+1:]...)
-			delete(sp.keys, h.Key())
+			var buf keyBuf
+			delete(sp.keys, string(h.appendKey(buf[:0])))
 			return
 		}
 	}

@@ -152,3 +152,33 @@ func TestSubpopRemove(t *testing.T) {
 		t.Fatal("key not freed after remove")
 	}
 }
+
+// TestSubpopKeyAllocs: membership tests and rejected inserts look
+// their key up without allocating; an insert allocates only the key it
+// stores, also when it evicts the worst member.
+func TestSubpopKeyAllocs(t *testing.T) {
+	sp := newSubpop(3, 4)
+	for i := range 4 {
+		sp.insert(newHaplotype([]int{i, 100 + i, 200000 + i}, float64(i+1)))
+	}
+	member := newHaplotype([]int{3, 103, 200003}, 9)
+	worse := newHaplotype([]int{7, 8, 9}, 0.5)
+	if got := testing.AllocsPerRun(100, func() {
+		if !sp.contains(member) || sp.contains(worse) || sp.insert(member) || sp.insert(worse) {
+			t.Fatal("membership changed")
+		}
+	}); got != 0 {
+		t.Errorf("contains and rejected inserts made %v allocations, want 0", got)
+	}
+	next := 10.0
+	if got := testing.AllocsPerRun(100, func() {
+		next++
+		h := &Haplotype{Sites: []int{int(next), 300000, 400000}, Fitness: next, Evaluated: true}
+		if !sp.insert(h) {
+			t.Fatal("fitter haplotype rejected")
+		}
+	}); got > 3 {
+		// The haplotype, its sites and its stored key.
+		t.Errorf("an evicting insert made %v allocations, want <= 3", got)
+	}
+}

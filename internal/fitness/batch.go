@@ -86,13 +86,14 @@ func EvaluateAllContext(ctx context.Context, ev Evaluator, batch [][]int) (value
 func Dedupe(batch [][]int) (unique [][]int, index []int) {
 	index = make([]int, len(batch))
 	pos := make(map[string]int, len(batch))
+	var key []byte
 	for i, sites := range batch {
-		k := siteKey(sites)
-		j, ok := pos[k]
+		key = AppendSiteKey(key[:0], sites)
+		j, ok := pos[string(key)]
 		if !ok {
 			j = len(unique)
 			unique = append(unique, sites)
-			pos[k] = j
+			pos[string(key)] = j
 		}
 		index[i] = j
 	}

@@ -319,11 +319,6 @@ func AppendSiteKey(dst []byte, sites []int) []byte {
 	return dst
 }
 
-// siteKey is AppendSiteKey as a map key.
-func siteKey(sites []int) string {
-	return string(AppendSiteKey(make([]byte, 0, 4*len(sites)), sites))
-}
-
 // Latency wraps an evaluator and sleeps a fixed duration per call,
 // emulating the paper's expensive 2004-era evaluation (6 ms for size
 // 3 up to 201 ms for size 7) so that parallel speedup experiments

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -408,6 +409,53 @@ func TestSpillRemovesLegacyFiles(t *testing.T) {
 		t.Fatalf("current spill file changed on opening (error %v)", err)
 	}
 	columnsEqual(t, "after cleanup", d, src2)
+}
+
+// TestSpillRemovesStaleTemps: opening a spill directory removes the
+// temp files a crashed writer left, told by their age, and keeps a
+// fresh one, which a live writer may be filling, as well as old files
+// and directories that are not spill temp files.
+func TestSpillRemovesStaleTemps(t *testing.T) {
+	d := testDataset(t, 20)
+	dir := t.TempDir()
+	old := time.Now().Add(-staleTemp - time.Minute)
+	files := []struct {
+		name      string
+		old, keep bool
+	}{
+		{"shard-0-8.bin.tmp123", true, false},
+		{"shard-000002.bin.tmp4242", true, false},
+		{"shard-8-16.bin.tmp99", false, true},
+		{"notes.tmp", true, true},
+		{"shard-16-20.bin.tmp7/", true, true},
+	}
+	for _, f := range files {
+		path := filepath.Join(dir, f.name)
+		var err error
+		if strings.HasSuffix(f.name, "/") {
+			err = os.Mkdir(path, 0o755)
+		} else {
+			err = os.WriteFile(path, []byte("x"), 0o644)
+		}
+		if err == nil && f.old {
+			err = os.Chtimes(path, old, old)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, err := NewSpill(d, dir, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	for _, f := range files {
+		_, err := os.Stat(filepath.Join(dir, f.name))
+		if exists := err == nil; exists != f.keep {
+			t.Errorf("%s: exists %v after opening, want %v (stat error %v)", f.name, exists, f.keep, err)
+		}
+	}
+	columnsEqual(t, "after cleanup", d, src)
 }
 
 // TestSpillSourcesShareDirectory: two sources over one directory (as

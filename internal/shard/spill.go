@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"repro/internal/genotype"
 )
@@ -69,10 +70,11 @@ type spillSource struct {
 // that do not match the plan or fail their CRC (a different dataset
 // spilled here before, an older build's format, a torn write) are
 // rewritten. Files of the older naming that no build reads any more,
-// manifest.json and shard-NNNNNN.bin, are removed on opening; temp
-// files (*.tmp*) are left alone, as another source over the same
-// directory may be writing one. hot sizes the resident LRU (0 =
-// DefaultHotShards).
+// manifest.json and shard-NNNNNN.bin, are removed on opening, and so
+// are temp files (*.bin.tmp*) last modified more than staleTemp ago,
+// which a writer that crashed mid-write left; a younger temp file is
+// left alone, as another source over the same directory may be
+// writing it. hot sizes the resident LRU (0 = DefaultHotShards).
 func NewSpill(d *genotype.Dataset, dir string, shardSize, hot int) (Source, error) {
 	plan, err := PlanFor(d, shardSize)
 	if err != nil {
@@ -84,7 +86,7 @@ func NewSpill(d *genotype.Dataset, dir string, shardSize, hot int) (Source, erro
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("shard: spill dir: %w", err)
 	}
-	if err := removeLegacySpill(dir); err != nil {
+	if err := cleanSpillDir(dir); err != nil {
 		return nil, fmt.Errorf("shard: spill dir: %w", err)
 	}
 	s := &spillSource{dir: dir}
@@ -92,20 +94,38 @@ func NewSpill(d *genotype.Dataset, dir string, shardSize, hot int) (Source, erro
 	return s, nil
 }
 
-// removeLegacySpill deletes the files of the older spill naming from
-// dir: manifest.json and shard-NNNNNN.bin, named by shard index alone.
-func removeLegacySpill(dir string) error {
+// staleTemp is the age past which a spill temp file is taken for one a
+// crashed writer left. A live writer's temp file is milliseconds old.
+const staleTemp = time.Hour
+
+// cleanSpillDir deletes from dir the files of the older spill naming,
+// manifest.json and shard-NNNNNN.bin (named by shard index alone), and
+// temp files older than staleTemp.
+func cleanSpillDir(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
 	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			continue
+		}
 		name := e.Name()
 		index, ok := strings.CutPrefix(name, "shard-")
 		index, bin := strings.CutSuffix(index, ".bin")
-		legacy := name == "manifest.json" ||
+		remove := name == "manifest.json" ||
 			ok && bin && index != "" && strings.Trim(index, "0123456789") == ""
-		if !legacy || !e.Type().IsRegular() {
+		if !remove && strings.Contains(name, ".bin.tmp") {
+			info, err := e.Info()
+			if errors.Is(err, fs.ErrNotExist) {
+				continue // its writer renamed or removed it
+			}
+			if err != nil {
+				return err
+			}
+			remove = time.Since(info.ModTime()) > staleTemp
+		}
+		if !remove {
 			continue
 		}
 		if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
