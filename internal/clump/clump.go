@@ -23,6 +23,7 @@ package clump
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/rng"
@@ -99,106 +100,153 @@ func (r Result) Get(s Statistic) float64 {
 // Statistics computes T1..T4 and AA for a 2 x M table of non-negative
 // counts.
 func Statistics(t *stats.Table) (Result, error) {
+	if t.Rows() != 2 {
+		return Result{}, fmt.Errorf("clump: table has %d rows, want 2", t.Rows())
+	}
 	var s Scratch
-	return StatisticsScratch(t, &s)
+	return StatisticsScratch(t.Row(0), t.Row(1), &s)
 }
 
 // Scratch holds the reusable buffers of one statistics computation:
-// table margins, the T2 pooled table, and the column ordering shared
-// by the T4/AA bipartition scan. A zero Scratch is ready to use;
+// T2's pooling marks, and the column ordering of the T4/AA
+// bipartition scan. A zero Scratch is ready to use;
 // buffers grow on demand and are retained across calls, making
 // repeated StatisticsScratch calls allocation-free in steady state. A
 // Scratch must not be shared between concurrent computations.
 type Scratch struct {
-	rt, ct   []float64 // margins of the input table
-	prt, pct []float64 // margins of the pooled table
-	pooled   *stats.Table
-	keep     []int
-	inKeep   []bool
-	cols     colSorter
+	pooled []bool
+	cols   []colPair
 }
 
-// StatisticsScratch is Statistics with caller-held scratch buffers —
-// the allocation-free path the packed fitness kernel runs on. Values
-// are identical to Statistics (which delegates here): the margins are
-// computed once and shared, but every float operation happens in the
-// same order.
-func StatisticsScratch(t *stats.Table, s *Scratch) (Result, error) {
-	if t.Rows() != 2 {
-		return Result{}, fmt.Errorf("clump: table has %d rows, want 2", t.Rows())
+// StatisticsScratch computes the statistics of the 2 x M table whose
+// rows are cases (row 0) and controls (row 1), both of length M >= 1,
+// on caller-held scratch buffers: the allocation-free kernel the
+// fitness pipeline runs on, straight over the two groups' expected
+// counts. Every value is the one the textbook computation over a
+// stats.Table gives, bit for bit: margins are summed in column order,
+// and each Pearson sum adds row 0's terms before row 1's, so the
+// Pearson statistics walk the columns once per row.
+func StatisticsScratch(cases, controls []float64, s *Scratch) (Result, error) {
+	m := len(cases)
+	if m == 0 || len(controls) != m {
+		return Result{}, fmt.Errorf("clump: rows of %d and %d columns, want equal and non-zero", m, len(controls))
 	}
-	s.rt = t.RowTotalsInto(s.rt)
-	s.ct = t.ColTotalsInto(s.ct)
+	controls = controls[:m]
 	var res Result
-	res.T1, res.DF1 = t.ChiSquareFrom(s.rt, s.ct)
-	if pooled := clumpRare(t, s); pooled == t {
-		// No pooling: T2 degrades to T1 over the identical margins.
-		res.T2, res.DF2 = res.T1, res.DF1
-	} else {
-		s.prt = pooled.RowTotalsInto(s.prt)
-		s.pct = pooled.ColTotalsInto(s.pct)
-		res.T2, res.DF2 = pooled.ChiSquareFrom(s.prt, s.pct)
+	r0, r1 := 0.0, 0.0
+	live := 0 // columns with a positive total
+	s.cols = s.cols[:0]
+	for j, a := range cases {
+		c := controls[j]
+		r0 += a
+		r1 += c
+		if a+c > 0 {
+			live++
+			s.cols = append(s.cols, colPair{a, c})
+		}
 	}
-	res.T3 = maxSingleColumn(t, s.rt)
-	res.T4, res.AA = maxBipartition(t, s.rt, s)
+	total := r0 + r1
+
+	if total != 0 && r0 > 0 && r1 > 0 && live >= 2 {
+		res.T1 = pearsonRow(0, cases, cases, controls, nil, r0, total)
+		res.T1 = pearsonRow(res.T1, controls, cases, controls, nil, r1, total)
+		res.DF1 = live - 1
+	}
+	for j, a := range cases {
+		c := controls[j]
+		if v := chi2x2(a, r0-a, c, r1-c); v > res.T3 {
+			res.T3 = v
+		}
+	}
+
+	res.T2, res.DF2 = res.T1, res.DF1
+	if total != 0 {
+		pooledT2(cases, controls, r0, r1, total, s, &res)
+	}
+	res.T4, res.AA = maxBipartition(r0, r1, s)
 	return res, nil
 }
 
-// clumpRare pools all columns whose expected count in either row falls
-// below minExpected into a single column, as CLUMP's T2 does. If
-// pooling leaves a single column, the original table is returned (T2
-// degrades to T1). The pooled table and its bookkeeping live in s and
-// are reused across calls; s.rt and s.ct must already hold t's
-// margins.
-func clumpRare(t *stats.Table, s *Scratch) *stats.Table {
-	rt, ct := s.rt, s.ct
-	total := rt[0] + rt[1]
-	if total == 0 {
-		return t
+// pearsonRow adds to chi row x's Pearson terms (x[j] - e)^2 / e, e
+// the expected count rt * colTotal_j / total, in column order,
+// skipping empty columns and those pooled marks (nil marks none).
+func pearsonRow(chi float64, x, cases, controls []float64, pooled []bool, rt, total float64) float64 {
+	controls = controls[:len(cases)]
+	x = x[:len(cases)]
+	for j, a := range cases {
+		ct := a + controls[j]
+		if ct == 0 || pooled != nil && pooled[j] {
+			continue
+		}
+		e := rt * ct / total
+		d := x[j] - e
+		chi += d * d / e
 	}
-	s.keep = s.keep[:0]
-	pool := false
-	for j := 0; j < t.Cols(); j++ {
-		e0 := rt[0] * ct[j] / total
-		e1 := rt[1] * ct[j] / total
-		if e0 < minExpected || e1 < minExpected {
-			pool = true
+	return chi
+}
+
+// pooledT2 sets T2 as CLUMP does: every column whose expected count in
+// either row falls below minExpected is pooled into one last column,
+// and T2 is the Pearson statistic of the kept columns plus the pool.
+// With nothing to pool, or nothing left to keep, T2 stays T1.
+func pooledT2(cases, controls []float64, r0, r1, total float64, s *Scratch, res *Result) {
+	m := len(cases)
+	if cap(s.pooled) < m {
+		s.pooled = make([]bool, m)
+	}
+	pooled := s.pooled[:m]
+	controls = controls[:m]
+	var kept0, kept1, pool0, pool1 float64
+	nPooled, liveKept := 0, 0
+	for j, a := range cases {
+		c := controls[j]
+		ct := a + c
+		e0 := r0 * ct / total
+		e1 := r1 * ct / total
+		pooled[j] = e0 < minExpected || e1 < minExpected
+		if pooled[j] {
+			nPooled++
+			pool0 += a
+			pool1 += c
 		} else {
-			s.keep = append(s.keep, j)
-		}
-	}
-	if !pool || len(s.keep) == 0 {
-		return t
-	}
-	if cap(s.inKeep) < t.Cols() {
-		s.inKeep = make([]bool, t.Cols())
-	}
-	s.inKeep = s.inKeep[:t.Cols()]
-	for j := range s.inKeep {
-		s.inKeep[j] = false
-	}
-	for _, j := range s.keep {
-		s.inKeep[j] = true
-	}
-	if s.pooled == nil {
-		s.pooled = stats.NewTable(2, len(s.keep)+1)
-	} else {
-		s.pooled.Reset(2, len(s.keep)+1)
-	}
-	out := s.pooled
-	for i := 0; i < 2; i++ {
-		poolSum := 0.0
-		for nj, j := range s.keep {
-			out.Set(i, nj, t.At(i, j))
-		}
-		for j := 0; j < t.Cols(); j++ {
-			if !s.inKeep[j] {
-				poolSum += t.At(i, j)
+			kept0 += a
+			kept1 += c
+			if ct > 0 {
+				liveKept++
 			}
 		}
-		out.Set(i, len(s.keep), poolSum)
 	}
-	return out
+	if nPooled == 0 || nPooled == m {
+		return
+	}
+	// The pooled table: row totals sum the kept columns, then the pool.
+	p0, p1 := kept0+pool0, kept1+pool1
+	ptotal := p0 + p1
+	poolTotal := pool0 + pool1
+	liveCols := liveKept
+	if poolTotal > 0 {
+		liveCols++
+	}
+	res.T2, res.DF2 = 0, 0
+	if ptotal == 0 || !(p0 > 0) || !(p1 > 0) || liveCols < 2 {
+		return
+	}
+	chi := pearsonRow(0, cases, cases, controls, pooled, p0, ptotal)
+	chi = poolTerm(chi, pool0, p0, poolTotal, ptotal)
+	chi = pearsonRow(chi, controls, cases, controls, pooled, p1, ptotal)
+	chi = poolTerm(chi, pool1, p1, poolTotal, ptotal)
+	res.T2, res.DF2 = chi, liveCols-1
+}
+
+// poolTerm adds to chi the pool column's Pearson term in a row holding
+// x of it, unless the pool is empty.
+func poolTerm(chi, x, rt, poolTotal, total float64) float64 {
+	if poolTotal == 0 {
+		return chi
+	}
+	e := rt * poolTotal / total
+	d := x - e
+	return chi + d*d/e
 }
 
 // chi2x2 computes the chi-square of the 2x2 table [[a, b], [c, d]].
@@ -213,66 +261,50 @@ func chi2x2(a, b, c, d float64) float64 {
 	return n * diff * diff / (r0 * r1 * c0 * c1)
 }
 
-// maxSingleColumn returns T3: the largest 2x2 chi-square obtained by
-// testing one column against the aggregate of all others. rt must hold
-// t's row totals.
-func maxSingleColumn(t *stats.Table, rt []float64) float64 {
-	best := 0.0
-	for j := 0; j < t.Cols(); j++ {
-		a := t.At(0, j)
-		c := t.At(1, j)
-		v := chi2x2(a, rt[0]-a, c, rt[1]-c)
-		if v > best {
-			best = v
-		}
-	}
-	return best
-}
-
 // colPair is one non-empty table column in the bipartition ordering.
 type colPair struct{ a, c float64 }
 
-// colSorter orders columns by case proportion: a[i]/(a[i]+c[i]) >
-// a[j]/(a[j]+c[j]), cross-multiplied to avoid the division. It
-// implements sort.Interface on a pointer receiver so sort.Sort does
-// not allocate.
-type colSorter []colPair
-
-func (s *colSorter) Len() int { return len(*s) }
-func (s *colSorter) Less(i, j int) bool {
-	c := *s
-	return c[i].a*(c[j].a+c[j].c) > c[j].a*(c[i].a+c[i].c)
+// caseLess orders columns by case proportion, larger first:
+// x.a/(x.a+x.c) > y.a/(y.a+y.c), cross-multiplied to avoid the
+// division.
+func caseLess(x, y colPair) bool {
+	return x.a*(y.a+y.c) > y.a*(x.a+x.c)
 }
-func (s *colSorter) Swap(i, j int) {
-	c := *s
-	c[i], c[j] = c[j], c[i]
+
+// sortCols orders cols by caseLess into exactly the permutation
+// sort.Sort gives: slices.SortFunc runs the pdqsort template sort.Sort
+// is generated from, and a less-only comparison makes it consult the
+// same pairs in the same order. Ties in case proportion are common
+// (empty-row columns, integer counts), and their order changes the
+// prefix sums, so the permutation is part of the result.
+func sortCols(cols []colPair) {
+	slices.SortFunc(cols, func(x, y colPair) int {
+		if caseLess(x, y) {
+			return -1
+		}
+		return 1
+	})
 }
 
 // maxBipartition returns T4 and AA in one scan: the largest 2x2
 // chi-square and the largest canonical association over 2-way
-// clumpings of the columns. Columns are ordered by their case
-// proportion; for both statistics the optimal bipartition is a prefix
-// of this ordering (the same exchange argument applies to the
-// chi-square and to the corrected log odds ratio), so a single linear
-// scan over prefixes is exact for both. Empty columns carry no
-// information and are skipped. rt must hold t's row totals.
-func maxBipartition(t *stats.Table, rt []float64, s *Scratch) (t4, aa float64) {
-	s.cols = s.cols[:0]
-	for j := 0; j < t.Cols(); j++ {
-		a, c := t.At(0, j), t.At(1, j)
-		if a+c > 0 {
-			s.cols = append(s.cols, colPair{a, c})
-		}
-	}
-	if len(s.cols) < 2 {
+// clumpings of the columns s.cols (the non-empty ones, in table
+// order). The columns are ordered by their case proportion; for both
+// statistics the optimal bipartition is a prefix of this ordering
+// (the same exchange argument applies to the chi-square and to the
+// corrected log odds ratio), so a single linear scan over prefixes is
+// exact for both. r0 and r1 are the table's row totals.
+func maxBipartition(r0, r1 float64, s *Scratch) (t4, aa float64) {
+	cols := s.cols
+	if len(cols) < 2 {
 		return 0, 0
 	}
-	sort.Sort(&s.cols)
+	sortCols(cols)
 	accA, accC := 0.0, 0.0
-	for j := 0; j < len(s.cols)-1; j++ {
-		accA += s.cols[j].a
-		accC += s.cols[j].c
-		a, b, c, d := accA, rt[0]-accA, accC, rt[1]-accC
+	for _, col := range cols[:len(cols)-1] {
+		accA += col.a
+		accC += col.c
+		a, b, c, d := accA, r0-accA, accC, r1-accC
 		if v := chi2x2(a, b, c, d); v > t4 {
 			t4 = v
 		}

@@ -272,13 +272,40 @@ func TestPValuesGet(t *testing.T) {
 	}
 }
 
-func BenchmarkStatistics2x64(b *testing.B) {
-	tab := stats.NewTable(2, 64)
+// benchTable is a 2 x m table of integer counts below 20, the size of
+// a k = log2(m) fitness table.
+func benchTable(m int) *stats.Table {
+	tab := stats.NewTable(2, m)
 	r := rng.New(1)
-	for j := 0; j < 64; j++ {
+	for j := 0; j < m; j++ {
 		tab.Set(0, j, float64(r.Intn(20)))
 		tab.Set(1, j, float64(r.Intn(20)))
 	}
+	return tab
+}
+
+// benchStatistics times the warm-scratch kernel, the fitness path, on
+// benchTable(m)'s two rows.
+func benchStatistics(b *testing.B, m int) {
+	tab := benchTable(m)
+	var s Scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := StatisticsScratch(tab.Row(0), tab.Row(1), &s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkStatistics2x4(b *testing.B)  { benchStatistics(b, 4) }
+func BenchmarkStatistics2x64(b *testing.B) { benchStatistics(b, 64) }
+
+// BenchmarkStatistics2x64Table times the public Statistics, the path
+// of Details and MonteCarlo, on a fresh Scratch per call.
+func BenchmarkStatistics2x64Table(b *testing.B) {
+	tab := benchTable(64)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Statistics(tab); err != nil {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/clump"
 	"repro/internal/ehdiall"
 	"repro/internal/genotype"
-	"repro/internal/stats"
 )
 
 // ScratchEvaluator is implemented by evaluators whose hot path can run
@@ -23,8 +22,8 @@ type ScratchEvaluator interface {
 
 // Scratch holds one evaluation worker's reusable buffers across the
 // whole Figure 3 pipeline: per-group EH-DIALL estimation scratch, the
-// gathered column views, the concatenated contingency table and the
-// CLUMP scratch. A zero Scratch (or NewScratch) is ready to use;
+// gathered column views, the two rows of the concatenated contingency
+// table and the CLUMP scratch. A zero Scratch (or NewScratch) is ready to use;
 // buffers grow on demand and are retained, so repeated evaluations of
 // same-sized haplotypes allocate nothing. A Scratch must not be shared
 // between concurrent evaluations.
@@ -40,7 +39,6 @@ type Scratch struct {
 	PackedCols []genotype.PackedColumn
 
 	expAff, expUn []float64
-	table         *stats.Table
 	cs            clump.Scratch
 }
 
@@ -48,29 +46,18 @@ type Scratch struct {
 func NewScratch() *Scratch { return &Scratch{} }
 
 // Score runs the shared tail of the Figure 3 pipeline on scr's
-// buffers: concatenate the two per-group EH-DIALL estimations into the
-// 2 x 2^k contingency table and return the selected CLUMP statistic.
+// buffers: the two per-group EH-DIALL estimations' expected counts
+// are rows 0 and 1 of the 2 x 2^k contingency table, which CLUMP
+// scores in place, and the selected statistic is returned.
 // It is the tail of Pipeline.EvaluateScratch, whatever the column
 // source.
 func (s *Scratch) Score(aff, un *ehdiall.Result, stat clump.Statistic) (float64, error) {
 	if aff.K != un.K {
 		return 0, fmt.Errorf("fitness: group estimations disagree on k: %d vs %d", aff.K, un.K)
 	}
-	size := 1 << aff.K
 	s.expAff = aff.ExpectedCountsInto(s.expAff)
 	s.expUn = un.ExpectedCountsInto(s.expUn)
-	if s.table == nil {
-		s.table = stats.NewTable(2, size)
-	} else {
-		s.table.Reset(2, size)
-	}
-	for j, c := range s.expAff {
-		s.table.Set(0, j, c)
-	}
-	for j, c := range s.expUn {
-		s.table.Set(1, j, c)
-	}
-	cres, err := clump.StatisticsScratch(s.table, &s.cs)
+	cres, err := clump.StatisticsScratch(s.expAff, s.expUn, &s.cs)
 	if err != nil {
 		return 0, err
 	}

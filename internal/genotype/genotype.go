@@ -140,15 +140,8 @@ func (d *Dataset) ByStatus(s Status) []int {
 // vectors of the right length, and only valid genotype codes. It
 // returns the first violation found.
 func (d *Dataset) Validate() error {
-	names := make(map[string]struct{}, len(d.SNPs))
-	for i, s := range d.SNPs {
-		if s.Name == "" {
-			return fmt.Errorf("genotype: SNP %d has empty name", i)
-		}
-		if _, dup := names[s.Name]; dup {
-			return fmt.Errorf("genotype: duplicate SNP name %q", s.Name)
-		}
-		names[s.Name] = struct{}{}
+	if err := d.validateNames(); err != nil {
+		return err
 	}
 	for i, ind := range d.Individuals {
 		if len(ind.Genotypes) != len(d.SNPs) {
@@ -165,6 +158,22 @@ func (d *Dataset) Validate() error {
 			return fmt.Errorf("genotype: individual %d (%s) has invalid status %d",
 				i, ind.ID, uint8(ind.Status))
 		}
+	}
+	return nil
+}
+
+// validateNames checks that every SNP name is non-empty and unique,
+// the part of Validate a parsed table can fail.
+func (d *Dataset) validateNames() error {
+	names := make(map[string]struct{}, len(d.SNPs))
+	for i, s := range d.SNPs {
+		if s.Name == "" {
+			return fmt.Errorf("genotype: SNP %d has empty name", i)
+		}
+		if _, dup := names[s.Name]; dup {
+			return fmt.Errorf("genotype: duplicate SNP name %q", s.Name)
+		}
+		names[s.Name] = struct{}{}
 	}
 	return nil
 }

@@ -114,8 +114,9 @@ var digitPairs = [9]Genotype{
 	notToken, 1, 2, // 20 21 22
 }
 
-// Read parses a dataset in the text table format, validating it before
-// returning.
+// Read parses a dataset in the text table format. The result passes
+// Validate: the parser gives every row one decoded genotype per SNP and
+// a parsed status, so only the SNP names are checked after parsing.
 func Read(r io.Reader) (*Dataset, error) {
 	lines := lineReader{br: bufio.NewReaderSize(r, readSize)}
 	t := tableParser{d: &Dataset{}}
@@ -139,7 +140,7 @@ func Read(r io.Reader) (*Dataset, error) {
 	if !t.header {
 		return nil, fmt.Errorf("genotype: empty input")
 	}
-	if err := t.d.Validate(); err != nil {
+	if err := t.d.validateNames(); err != nil {
 		return nil, err
 	}
 	return t.d, nil

@@ -9,12 +9,13 @@
 // .RangeFingerprint), so a shard has a stable identity across runs and
 // processes. A Source materializes shards on demand — from the
 // in-memory table (NewMem) or from a write-once spill directory
-// (NewSpill) — behind an LRU of hot shards that bounds the resident
-// working set. The Evaluator is a fitness.Pipeline whose gather step
-// reads only the shards a candidate SNP subset touches, so its values
-// are bit-identical to the monolithic path; its KeyFingerprint method
-// keys the engine's memo cache by the fingerprints of the touched
-// shards. RunSweep scans every haplotype
+// (NewSpill) — behind a bounded set of hot shards: a resident shard is
+// served by one atomic load, without a lock, and a miss evicts by
+// CLOCK (second chance). The Evaluator is a fitness.Pipeline whose
+// gather step reads only the shards a candidate SNP subset touches, so
+// its values are bit-identical to the monolithic path; its
+// KeyFingerprint method keys the engine's memo cache by the
+// fingerprints of the touched shards. RunSweep scans every haplotype
 // window shard by shard, checkpointing completed shards through a Sink
 // so an interrupted scan resumes instead of restarting.
 package shard

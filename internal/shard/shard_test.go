@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -119,7 +120,7 @@ func columnsEqual(t *testing.T, name string, d *genotype.Dataset, src Source) {
 
 func TestSourcesServeDatasetColumns(t *testing.T) {
 	d := testDataset(t, 51)
-	mem, err := NewMem(d, 8, 2) // LRU far smaller than the shard count
+	mem, err := NewMem(d, 8, 2) // resident set far smaller than the shard count
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +136,11 @@ func TestSourcesServeDatasetColumns(t *testing.T) {
 	// present.
 	columnsEqual(t, "mem-revisit", d, mem)
 	columnsEqual(t, "spill-revisit", d, spill)
-	if got := mem.(*lruSource).resident(); got > 2 {
-		t.Fatalf("mem LRU holds %d shards, cap 2", got)
+	if got := mem.(*hotSource).resident(); got > 2 {
+		t.Fatalf("mem source holds %d shards, cap 2", got)
 	}
 	if got := spill.(*spillSource).resident(); got > 2 {
-		t.Fatalf("spill LRU holds %d shards, cap 2", got)
+		t.Fatalf("spill source holds %d shards, cap 2", got)
 	}
 }
 
@@ -580,6 +581,100 @@ func TestSourceShardOutOfRange(t *testing.T) {
 	}
 }
 
+// TestSourceStress drives a Mem and a Spill source with a resident
+// capacity of 2 over 7 shards from several goroutines at once: first
+// beside a goroutine that sweeps every shard (evicting whatever is
+// resident), then beside one that sweeps and then closes the source.
+// Every shard served must hold exactly genotype.PackRange's words for
+// its range, the source must hold at most 2 shards once the goroutines
+// stop, and every request after Close must fail.
+func TestSourceStress(t *testing.T) {
+	const hot, workers, rounds = 2, 4, 300
+	d := testDataset(t, 51)
+	for _, kind := range []string{"mem", "spill"} {
+		t.Run(kind, func(t *testing.T) {
+			var src Source
+			var err error
+			if kind == "mem" {
+				src, err = NewMem(d, 8, hot)
+			} else {
+				src, err = NewSpill(d, t.TempDir(), 8, hot)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			core := src.(interface{ resident() int })
+			plan := src.Plan()
+			want := make([][]byte, plan.NumShards())
+			for i, m := range plan.Metas {
+				want[i] = genotype.AppendWords(nil, genotype.PackRange(d, m.Start, m.End))
+			}
+			var closing atomic.Bool
+			request := func(i int) bool {
+				sh, err := src.Shard(i)
+				if err != nil {
+					if !closing.Load() {
+						t.Errorf("shard %d: %v before Close", i, err)
+					}
+					return false
+				}
+				if sh.Meta != plan.Metas[i] || !bytes.Equal(genotype.AppendWords(nil, sh.Packed), want[i]) {
+					t.Errorf("shard %d: words differ from PackRange", i)
+				}
+				return true
+			}
+			sweep := func() {
+				for r := 0; r < 20; r++ {
+					for i := range want {
+						request(i)
+					}
+				}
+			}
+			run := func(other func()) {
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for r := 0; r < rounds; r++ {
+							// Each worker stays on a shard for a few
+							// requests, as a gather does, then moves.
+							if !request((w + r/3) % len(want)) {
+								return
+							}
+						}
+					}(w)
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					other()
+				}()
+				wg.Wait()
+			}
+
+			run(sweep)
+			if got := core.resident(); got > hot {
+				t.Fatalf("%d shards resident after the sweep, cap %d", got, hot)
+			}
+			run(func() {
+				sweep()
+				closing.Store(true)
+				src.Close()
+			})
+			if got := core.resident(); got > hot {
+				t.Fatalf("%d shards resident after Close, cap %d", got, hot)
+			}
+			for i := range want {
+				if _, err := src.Shard(i); err == nil {
+					t.Fatalf("shard %d served after Close", i)
+				}
+			}
+		})
+	}
+}
+
 // shardsIdentical checks two materializations of one shard hold the
 // same packed words, compared through their class planes (het, hom2
 // and missing determine both bits of every code).
@@ -668,7 +763,7 @@ func BenchmarkPackShard(b *testing.B) {
 }
 
 // BenchmarkSpillShardRead re-reads one DefaultShardSize-wide spill
-// file of the paper's 176 individuals (1% missing): what an LRU miss on
+// file of the paper's 176 individuals (1% missing): what a resident-set miss on
 // a spilled shard costs once its file exists — the read, the header
 // and CRC checks, and decoding the payload into packed words. The file
 // is in the page cache; file_B reports its size on disk.

@@ -55,11 +55,12 @@ func spillPath(dir string, m Meta) string {
 }
 
 // spillSource spills shards to write-once files on first use and
-// re-reads them on LRU misses, keeping only the hot set resident. It
-// reads the dataset (lruSource.data) solely to (re)write missing or
-// stale files; all steady-state traffic is served from disk + LRU.
+// re-reads them on misses, keeping only the hot set resident. It reads
+// the dataset (hotSource.data) solely to (re)write missing or stale
+// files; all steady-state traffic is served from disk and the resident
+// set.
 type spillSource struct {
-	*lruSource
+	*hotSource
 	dir string
 }
 
@@ -74,7 +75,7 @@ type spillSource struct {
 // are temp files (*.bin.tmp*) last modified more than staleTemp ago,
 // which a writer that crashed mid-write left; a younger temp file is
 // left alone, as another source over the same directory may be
-// writing it. hot sizes the resident LRU (0 = DefaultHotShards).
+// writing it. hot bounds the resident set (0 = DefaultHotShards).
 func NewSpill(d *genotype.Dataset, dir string, shardSize, hot int) (Source, error) {
 	plan, err := PlanFor(d, shardSize)
 	if err != nil {
@@ -90,7 +91,7 @@ func NewSpill(d *genotype.Dataset, dir string, shardSize, hot int) (Source, erro
 		return nil, fmt.Errorf("shard: spill dir: %w", err)
 	}
 	s := &spillSource{dir: dir}
-	s.lruSource = newLRUSource(plan, hot, d, s.loadShard)
+	s.hotSource = newHotSource(plan, hot, d, s.loadShard)
 	return s, nil
 }
 
@@ -138,7 +139,7 @@ func cleanSpillDir(dir string) error {
 // loadShard reads shard i's spill file, writing it first if absent or
 // stale.
 func (s *spillSource) loadShard(i int) (*Shard, error) {
-	plan := s.lruSource.plan
+	plan := s.hotSource.plan
 	m := plan.Metas[i]
 	path := spillPath(s.dir, m)
 	sh, err := readSpill(path, plan, m)

@@ -18,25 +18,6 @@ func NewTable(r, c int) *Table {
 	return &Table{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
-// Reset reshapes t to r x c (both positive), reusing the backing
-// storage when it fits, and zeroes every cell — the allocation-free
-// counterpart of NewTable for scratch-held tables.
-func (t *Table) Reset(r, c int) {
-	if r <= 0 || c <= 0 {
-		panic("stats: Reset requires positive dimensions")
-	}
-	need := r * c
-	if cap(t.data) < need {
-		t.data = make([]float64, need)
-	} else {
-		t.data = t.data[:need]
-		for i := range t.data {
-			t.data[i] = 0
-		}
-	}
-	t.rows, t.cols = r, c
-}
-
 // Rows returns the number of rows.
 func (t *Table) Rows() int { return t.rows }
 
@@ -49,16 +30,12 @@ func (t *Table) At(i, j int) float64 { return t.data[i*t.cols+j] }
 // Set stores v at (i, j).
 func (t *Table) Set(i, j int, v float64) { t.data[i*t.cols+j] = v }
 
-// RowTotals returns the marginal row sums.
-func (t *Table) RowTotals() []float64 { return t.RowTotalsInto(nil) }
+// Row returns row i's cells, aliasing the table's storage.
+func (t *Table) Row(i int) []float64 { return t.data[i*t.cols : (i+1)*t.cols : (i+1)*t.cols] }
 
-// RowTotalsInto writes the marginal row sums into dst (grown as
-// needed) and returns it.
-func (t *Table) RowTotalsInto(dst []float64) []float64 {
-	if cap(dst) < t.rows {
-		dst = make([]float64, t.rows)
-	}
-	dst = dst[:t.rows]
+// RowTotals returns the marginal row sums.
+func (t *Table) RowTotals() []float64 {
+	dst := make([]float64, t.rows)
 	for i := 0; i < t.rows; i++ {
 		s := 0.0
 		for j := 0; j < t.cols; j++ {
@@ -70,15 +47,8 @@ func (t *Table) RowTotalsInto(dst []float64) []float64 {
 }
 
 // ColTotals returns the marginal column sums.
-func (t *Table) ColTotals() []float64 { return t.ColTotalsInto(nil) }
-
-// ColTotalsInto writes the marginal column sums into dst (grown as
-// needed) and returns it.
-func (t *Table) ColTotalsInto(dst []float64) []float64 {
-	if cap(dst) < t.cols {
-		dst = make([]float64, t.cols)
-	}
-	dst = dst[:t.cols]
+func (t *Table) ColTotals() []float64 {
+	dst := make([]float64, t.cols)
 	for j := 0; j < t.cols; j++ {
 		s := 0.0
 		for i := 0; i < t.rows; i++ {
@@ -94,15 +64,9 @@ func (t *Table) ColTotalsInto(dst []float64) []float64 {
 // contribute nothing and reduce the degrees of freedom, matching the
 // behaviour of the CLUMP program on sparse tables.
 //
-//ldvet:allow deadexport: test reference; TestT1MatchesPearson checks clump's T1 against this Pearson statistic
+//ldvet:allow deadexport: test reference; clump's tests check T1 and T2 against this Pearson statistic
 func (t *Table) ChiSquare() (statistic float64, df int) {
-	return t.ChiSquareFrom(t.RowTotals(), t.ColTotals())
-}
-
-// ChiSquareFrom is ChiSquare with caller-supplied margins (which must
-// be t's row and column totals), for the allocation-free path that
-// computes the margins once and shares them across statistics.
-func (t *Table) ChiSquareFrom(rt, ct []float64) (statistic float64, df int) {
+	rt, ct := t.RowTotals(), t.ColTotals()
 	total := 0.0
 	for _, v := range rt {
 		total += v

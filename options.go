@@ -146,7 +146,7 @@ func WithJobLimit(n int) Option {
 
 // WithShardSize routes the session's evaluation through a sharded
 // view of the dataset: SNP columns are partitioned into shards of n
-// columns (0 = DefaultShardSize) loaded on demand with a small LRU of
+// columns (0 = DefaultShardSize) loaded on demand into a small set of
 // hot shards, so evaluation touches only the columns a candidate
 // needs. Results are bit-identical to the monolithic backend. Only the
 // native backend shards; WithBackend(BackendPool/BackendPVM) and

@@ -24,7 +24,7 @@ type SweepResult = shard.SweepResult
 // ShardedEngine is the native engine running over a sharded view of
 // the dataset: fitness evaluation gathers only the SNP columns a
 // candidate touches from a shard source (in-memory, or spilled to
-// write-once files under a spill directory) with a small LRU of hot
+// write-once files under a spill directory) with a small set of hot
 // shards, so a large table never has to be fully resident. Values are
 // bit-identical to the monolithic engine; memo-cache keys carry the
 // fingerprints of the touched shards. It implements ParallelEvaluator.
